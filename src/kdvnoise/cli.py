@@ -18,10 +18,11 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, config_hash, load_config
 from .estimates import SpaceTimeCoeffs, WeightParams, bilinear_ratio_sweep, \
-    bracket_product_integral, quadratic_bracket_sum, resonance_residual_max, \
-    resonance_set_integral, time_localization_check
-from .flow import FDProbeError, FlowConfig, IntegratorBlowupError, conservation_report
-from .invariance import Ensemble, ObservableSpec, generate, invariance_report, push_forward
+    bracket_product_integral, family_points, quadratic_bracket_sum, \
+    resonance_residual_max, resonance_set_integral, time_localization_check
+from .flow import FDProbeError, FlowConfig, IntegratorBlowupError, conservation_report, \
+    evolve_checkpoints
+from .invariance import ObservableSpec, _evolved, generate, invariance_report, push_forward
 from .noise import decay_median_curve, fit_log_tail, tail_sweep
 from .snapshots import SnapshotError, load_ensemble, save_ensemble
 from .spectral import FourierField, NormSpec
@@ -95,25 +96,22 @@ def cmd_evolve(cfg, h, out):
             raise ConfigError(f"checkpoint {c} outside (0, T)")
         cps.append(c)
     cps = sorted(set(cps))
-    for c in cps:
-        _flow_config(cfg["dt"], c)  # must sit on the step lattice
+    names = [f"checkpoint_{c:g}.snap" for c in cps]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"checkpoints {cps} do not all get distinct file names")
+    try:
+        states = evolve_checkpoints(ens.coeffs, fc, cps + [fc.T], workers=cfg["workers"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    initial = ens
-    t_done = 0.0
-    for c in cps:
-        ens = push_forward(ens, _flow_config(cfg["dt"], c - t_done), workers=cfg["workers"])
-        save_ensemble(ens, os.path.join(out, f"checkpoint_{c:g}.snap"))
-        t_done = c
-    if cfg["T"] > t_done or not cps:
-        ens = push_forward(
-            ens, _flow_config(cfg["dt"], cfg["T"] - t_done), workers=cfg["workers"]
-        )
-    save_ensemble(ens, os.path.join(out, "ensemble_final.snap"))
+    for (t, coeffs), name in zip(states, names + ["ensemble_final.snap"]):
+        final = _evolved(ens, fc, coeffs, t)
+        save_ensemble(final, os.path.join(out, name))
 
     rows = []
-    for i in range(initial.count):
-        f0 = FourierField(initial.N, initial.coeffs[i])
-        f1 = FourierField(ens.N, ens.coeffs[i])
+    for i in range(ens.count):
+        f0 = FourierField(ens.N, ens.coeffs[i])
+        f1 = FourierField(final.N, final.coeffs[i])
         rep = conservation_report([(0.0, f0), (cfg["T"], f1)])
         rows.append(
             f"{i},{rep['l2_drift_abs']:.6e},{rep['l2_drift_rel']:.6e},"
@@ -226,11 +224,7 @@ def cmd_estimates(cfg, h, out):
     )
     if cfg["time_loc"]:
         N = n_list[0]
-        f = SpaceTimeCoeffs.zeros(N)
-        for n in list(range(-N, 0)) + list(range(1, N + 1)):
-            j = int(math.floor(math.log2(abs(n))))
-            amp = 2.0 ** (-j / cfg["p"]) * f.dtau ** (-1.0 / cfg["p"])
-            f.values[f.row(n), f.col(float(n**3))] = amp
+        f = SpaceTimeCoeffs.from_points(N, family_points("free_curve", N, cfg["p"], None)[0])
         tl_lines = []
         for k in range(0, 7):
             T = 2.0**-k

@@ -90,9 +90,6 @@ _SCHEMAS = {
         "trials": ("int", 200, _nonnegative),
         "seed": ("int", 0, None),
         "time_loc": ("bool", True, None),
-        "bounded_factor": ("float", 3.0, _positive),
-        "growth_min": ("float", 1.3, _positive),
-        "workers": ("int", 1, _positive),
     },
 }
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
-from .spectral import bracket
+from .spectral import _block_index, _block_reduce, bracket
 
 __all__ = [
     "SpaceTimeCoeffs",
@@ -255,27 +255,17 @@ class SpaceTimeCoeffs:
         )
 
 
-def _block_ids(N):
-    modes = _signed_modes(N)
-    return modes, np.floor(np.log2(np.abs(modes))).astype(int)
-
-
-def _sup_block_lp(row_stats, N, p):
+def _sup_block_lp(row_stats, p):
     """sup over dyadic blocks of the l^p combination of per-row statistics.
 
-    For finite p row_stats must hold per-row p-th-power sums; for p = inf it
-    holds per-row maxima.
+    row_stats follows _signed_modes order. For finite p it holds per-row
+    p-th-power sums, and the rows of n and -n add; for p = inf it holds
+    per-row maxima, and the rows of n and -n combine by maximum.
     """
-    _, blocks = _block_ids(N)
-    best = 0.0
-    for j in range(blocks.max() + 1):
-        sel = row_stats[blocks == j]
-        if math.isinf(p):
-            val = sel.max()
-        else:
-            val = sel.sum() ** (1.0 / p)
-        best = max(best, float(val))
-    return best
+    N = row_stats.size // 2
+    neg, pos = row_stats[N - 1 :: -1], row_stats[N:]
+    per_mode = np.maximum(neg, pos) if math.isinf(p) else neg + pos
+    return float(_block_reduce(per_mode, p).max())
 
 
 def _xsb_weights(f, s, b):
@@ -290,16 +280,14 @@ def bourgain_norm(f, s, b, p):
     """sup over blocks of the in-block L^p (in n and tau) of <n>^s<tau-n^3>^b f."""
     A = _xsb_weights(f, s, b) * np.abs(f.values)
     if math.isinf(p):
-        return _sup_block_lp(A.max(axis=1), f.N, p)
-    return _sup_block_lp(np.sum(A**p, axis=1) * f.dtau, f.N, p)
+        return _sup_block_lp(A.max(axis=1), p)
+    return _sup_block_lp(np.sum(A**p, axis=1) * f.dtau, p)
 
 
 def bourgain_l1tau_norm(f, s, b, p):
     """Variant with inner L^1 in tau, then block l^p in n, then sup."""
     rows = np.sum(_xsb_weights(f, s, b) * np.abs(f.values), axis=1) * f.dtau
-    if math.isinf(p):
-        return _sup_block_lp(rows, f.N, p)
-    return _sup_block_lp(rows**p, f.N, p)
+    return _sup_block_lp(rows if math.isinf(p) else rows**p, p)
 
 
 def _weight_matrix(f, params):
@@ -314,9 +302,9 @@ def weighted_bourgain_norm(f, s, b, p, params):
     W = _weight_matrix(f, params)
     A = _xsb_weights(f, s, b) * W * np.abs(f.values)
     if math.isinf(p):
-        x_part = _sup_block_lp(A.max(axis=1), f.N, p)
+        x_part = _sup_block_lp(A.max(axis=1), p)
     else:
-        x_part = _sup_block_lp(np.sum(A**p, axis=1) * f.dtau, f.N, p)
+        x_part = _sup_block_lp(np.sum(A**p, axis=1) * f.dtau, p)
     return x_part + bourgain_l1tau_norm(f, s, b - 0.5, p)
 
 
@@ -384,8 +372,7 @@ def sweep_trial_rng(seed, N, trial):
 
 
 def _block_amp(n, p):
-    j = int(math.floor(math.log2(abs(n))))
-    return 2.0 ** (-j / p) * _SWEEP_DT ** (-1.0 / p)
+    return 2.0 ** (-_block_index(n) / p) * _SWEEP_DT ** (-1.0 / p)
 
 
 def family_points(family, N, p, rng):
@@ -449,16 +436,10 @@ def _pts_arrays(pts):
     return ns, ts, vs
 
 
-def _sparse_input_norm(ns, ts, vs, N, p):
-    """X^{0,0}_p of a sparse input: block l^p with the dtau measure."""
-    blocks = np.floor(np.log2(np.abs(ns))).astype(int)
-    best = 0.0
-    for j in range(int(blocks.max()) + 1):
-        sel = blocks == j
-        if not sel.any():
-            continue
-        best = max(best, float(np.sum(np.abs(vs[sel]) ** p) * _SWEEP_DT) ** (1.0 / p))
-    return best
+def _sparse_block_sup(ns, vals, N, p):
+    """sup over blocks of the l^p, with the dtau measure, of values at modes ns."""
+    per_mode = np.bincount(np.abs(ns), weights=vals**p * _SWEEP_DT, minlength=N + 1)
+    return float(_block_reduce(per_mode[1:], p).max())
 
 
 def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
@@ -506,23 +487,12 @@ def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
     w_out = resonance_weight(u_n, u_t, params)
     x_vals = np.abs(agg) * w_out * mod**-0.5
     y_vals = np.abs(agg) * mod**-1.0
-    blocks = np.floor(np.log2(np.abs(u_n))).astype(int)
-    x_part = 0.0
-    y_part = 0.0
-    for j in range(int(blocks.max()) + 1):
-        sel = blocks == j
-        if not sel.any():
-            continue
-        x_part = max(x_part, float(np.sum(x_vals[sel] ** p) * _SWEEP_DT) ** (1.0 / p))
-        # inner L^1 over tau per mode, then l^p across the block
-        rows_j = u_n[sel]
-        vals_j = y_vals[sel]
-        per_mode = {}
-        for m, v in zip(rows_j.tolist(), vals_j.tolist()):
-            per_mode[m] = per_mode.get(m, 0.0) + v * _SWEEP_DT
-        y_part = max(y_part, float(sum(v**p for v in per_mode.values()) ** (1.0 / p)))
+    x_part = _sparse_block_sup(u_n, x_vals, N, p)
+    # inner L^1 over tau per signed mode, then l^p across the block
+    per_row = np.bincount(u_rows, weights=y_vals * _SWEEP_DT, minlength=2 * N)
+    y_part = _sup_block_lp(per_row**p, p)
     num = x_part + y_part
-    den = _sparse_input_norm(n1, t1, v1, N, p) * _sparse_input_norm(n2, t2, v2, N, p)
+    den = _sparse_block_sup(n1, np.abs(v1), N, p) * _sparse_block_sup(n2, np.abs(v2), N, p)
     return num / den
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "conservation_report",
     "evolve",
     "evolve_batch",
+    "evolve_checkpoints",
     "liouville_logdet",
     "nonlinear_term",
     "probe_dt",
@@ -91,24 +92,28 @@ def nonlinear_term(f):
     return FourierField(f.N, out[0])
 
 
+def _airy_phase(N, t):
+    """e^{i n^3 t} for n = 1..N: the exact linear propagator over time t."""
+    n = np.arange(1, N + 1, dtype=float)
+    return np.exp(1j * n**3 * t)
+
+
 def airy_propagate(f, t):
     """Exact linear propagation: multiply mode n by e^{i n^3 t}."""
     if t == 0.0:
         return f
-    n = np.arange(1, f.N + 1, dtype=float)
-    return FourierField(f.N, f.coeffs * np.exp(1j * n**3 * t))
+    return FourierField(f.N, f.coeffs * _airy_phase(f.N, t))
 
 
-def _phases(N, dt):
-    n3 = np.arange(1, N + 1, dtype=float) ** 3
-    ph_h = np.exp(0.5j * n3 * dt)
-    return ph_h, ph_h * ph_h
+def _rk4_chunk(rows, dt, nsteps, M, t0, first):
+    """Integrating-factor RK4 on a (count, N) block; dt may be negative.
 
-
-def _rk4_chunk(rows, dt, nsteps, M, t0=0.0):
-    """Integrating-factor RK4 on a (count, N) block; dt may be negative."""
+    t0 and first are the block's start time and first member index within
+    the run; they only place a blowup in the error message.
+    """
     N = rows.shape[1]
-    ph_h, ph_f = _phases(N, dt)
+    ph_h = _airy_phase(N, 0.5 * dt)
+    ph_f = ph_h * ph_h
     a = rows.copy()
     for k in range(nsteps):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -122,7 +127,7 @@ def _rk4_chunk(rows, dt, nsteps, M, t0=0.0):
             with np.errstate(invalid="ignore"):
                 mags = np.abs(a)
                 mags[~np.isfinite(mags)] = np.inf
-                bad = np.where(mags.max(axis=1) > _BLOWUP_LIMIT)[0]
+                bad = first + np.where(mags.max(axis=1) > _BLOWUP_LIMIT)[0]
             raise IntegratorBlowupError(
                 f"members {bad.tolist()} exceeded |coeff| {_BLOWUP_LIMIT:g} "
                 f"at t~{t0 + (k + 1) * dt:.4g}; step resonance number "
@@ -132,7 +137,7 @@ def _rk4_chunk(rows, dt, nsteps, M, t0=0.0):
     return a
 
 
-def _run_batch(rows, dt, nsteps, workers):
+def _run_batch(rows, dt, nsteps, workers, t0):
     count, N = rows.shape
     M = _dealias_length(N)
     if count == 0 or nsteps == 0:
@@ -145,10 +150,10 @@ def _run_batch(rows, dt, nsteps, workers):
     def work(bounds):
         lo, hi = bounds
         try:
-            out[lo:hi] = _rk4_chunk(rows[lo:hi], dt, nsteps, M)
+            out[lo:hi] = _rk4_chunk(rows[lo:hi], dt, nsteps, M, t0, lo)
             return None
         except IntegratorBlowupError as exc:
-            return (lo, exc)
+            return exc
 
     if workers <= 1 or len(chunks) == 1:
         results = [work(c) for c in chunks]
@@ -157,56 +162,62 @@ def _run_batch(rows, dt, nsteps, workers):
             results = list(pool.map(work, chunks))
     failures = [r for r in results if r is not None]
     if failures:
-        lo, exc = failures[0]
-        raise IntegratorBlowupError(f"(chunk starting at member {lo}) {exc}")
+        raise failures[0]
     return out
 
 
-def step(f, dt, linear_only=False):
-    """One integrator step of size dt (phases only when linear_only)."""
-    if linear_only:
-        _, ph_f = _phases(f.N, dt)
-        return FourierField(f.N, f.coeffs * ph_f)
-    out = _rk4_chunk(f.coeffs[None, :], dt, 1, _dealias_length(f.N))
+def step(f, dt):
+    """One integrator step of size dt."""
+    out = _rk4_chunk(f.coeffs[None, :], dt, 1, _dealias_length(f.N), 0.0, 0)
     return FourierField(f.N, out[0])
 
 
-def evolve(f, cfg, checkpoints=None):
-    """Trajectory of f under cfg; returns [(t, field)] at requested times.
+def evolve_checkpoints(coeffs, cfg, times, workers=1):
+    """Iterator of (t, rows): the member rows of coeffs at each requested time.
 
-    With checkpoints=None the list holds the endpoints only (just the initial
-    state when T=0). Checkpoint times must be integer multiples of dt between
-    0 and T inclusive, increasing.
+    Times must be integer multiples of dt between 0 and T inclusive,
+    increasing; they are checked before the iterator is returned. States are
+    yielded as they are reached, so a checkpointed run does the arithmetic of
+    an uninterrupted one, and fixed 512-row chunks keep it independent of the
+    worker count.
     """
-    sign = 1.0 if cfg.T >= 0 else -1.0
-    dt = sign * cfg.dt
-    if checkpoints is None:
-        checkpoints = [0.0, cfg.T] if cfg.steps > 0 else [0.0]
+    times = [float(t) for t in times]
+    dt = cfg.dt if cfg.T >= 0 else -cfg.dt
     idx = []
-    for t in checkpoints:
+    for t in times:
         k = round(t / dt) if cfg.steps > 0 else 0
         if abs(k * dt - t) > 1e-9 * max(1.0, abs(cfg.T)) or not 0 <= k <= cfg.steps:
             raise ValueError(f"checkpoint {t} is not a step multiple within the run")
         idx.append(k)
     if idx != sorted(idx):
         raise ValueError("checkpoints must be increasing")
-    M = _dealias_length(f.N)
-    out = []
-    rows = f.coeffs[None, :]
-    pos = 0
-    for t, k in zip(checkpoints, idx):
-        if k > pos:
-            rows = _rk4_chunk(rows, dt, k - pos, M, t0=pos * dt)
+
+    def run(rows):
+        pos = 0
+        for t, k in zip(times, idx):
+            rows = _run_batch(rows, dt, k - pos, workers, pos * dt)
             pos = k
-        out.append((float(t), f if k == 0 else FourierField(f.N, rows[0])))
-    return out
+            yield t, rows
+
+    return run(np.ascontiguousarray(coeffs, dtype=np.complex128))
+
+
+def evolve(f, cfg, checkpoints=None):
+    """Trajectory of f under cfg; returns [(t, field)] at requested times.
+
+    With checkpoints=None the list holds the endpoints only (just the initial
+    state when T=0); checkpoints follow the rules of evolve_checkpoints.
+    """
+    if checkpoints is None:
+        checkpoints = [0.0, cfg.T] if cfg.steps > 0 else [0.0]
+    states = evolve_checkpoints(f.coeffs[None, :], cfg, checkpoints)
+    return [(t, FourierField(f.N, rows[0])) for t, rows in states]
 
 
 def evolve_batch(coeffs, cfg, workers=1):
     """Final coefficients for each member row; row-chunked, worker-invariant."""
-    rows = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    sign = 1.0 if cfg.T >= 0 else -1.0
-    return _run_batch(rows, sign * cfg.dt, cfg.steps, workers)
+    ((_, final),) = evolve_checkpoints(coeffs, cfg, [cfg.T], workers)
+    return final
 
 
 def conservation_report(traj):
@@ -259,11 +270,7 @@ def liouville_logdet(f, cfg, linear_only=False):
         probes[2 * i, i] += eps
         probes[2 * i + 1, i] -= eps
     rows = np.stack([_from_real(x) for x in probes])
-    if linear_only:
-        n3 = np.arange(1, N + 1, dtype=float) ** 3
-        finals = rows * np.exp(1j * n3 * cfg.T)
-    else:
-        finals = evolve_batch(rows, cfg)
+    finals = rows * _airy_phase(N, cfg.T) if linear_only else evolve_batch(rows, cfg)
     jac = np.empty((dim, dim))
     for i in range(dim):
         plus = _real_coords(finals[2 * i])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .flow import evolve_batch
-from .noise import _draw, _rng, sample_batch
+from .noise import sample_batch
 from .spectral import NormSpec, besov_norm_batch
 
 __all__ = [
@@ -53,18 +53,14 @@ def generate_control(N, count, seed, variance_factor=1.0, skew=0.0):
     x -> x + skew*(x^2 - 1) to each Gaussian component, which keeps the mean
     at zero but skews the marginals.
     """
-    rows = np.empty((count, N), dtype=np.complex128)
-    scale = math.sqrt(variance_factor)
-    for i in range(count):
-        z = _draw(_rng(seed, i), N)
-        re, im = z.real, z.imag
-        if skew != 0.0:
-            re = re + skew * (re**2 - 1.0)
-            im = im + skew * (im**2 - 1.0)
-        rows[i] = scale * (re + 1j * im)
+    z = sample_batch(N, count, seed)
+    re, im = z.real, z.imag
+    if skew != 0.0:
+        re = re + skew * (re**2 - 1.0)
+        im = im + skew * (im**2 - 1.0)
     return Ensemble(
         N=N,
-        coeffs=rows,
+        coeffs=math.sqrt(variance_factor) * (re + 1j * im),
         time=0.0,
         provenance={
             "seed": seed,
@@ -75,12 +71,20 @@ def generate_control(N, count, seed, variance_factor=1.0, skew=0.0):
     )
 
 
+def _evolved(e, cfg, coeffs, t):
+    """e's members moved to coeffs, time t into a run under cfg.
+
+    Provenance is extended, not replaced; its flow entry records the time
+    from the start of the run.
+    """
+    prov = dict(e.provenance)
+    prov["flow"] = {"dt": cfg.dt, "T": t, "integrator": cfg.integrator}
+    return Ensemble(N=e.N, coeffs=coeffs, time=e.time + t, provenance=prov)
+
+
 def push_forward(e, cfg, workers=1):
     """Evolve every member by cfg; provenance is extended, not replaced."""
-    final = evolve_batch(e.coeffs, cfg, workers=workers)
-    prov = dict(e.provenance)
-    prov["flow"] = {"dt": cfg.dt, "T": cfg.T, "integrator": cfg.integrator}
-    return Ensemble(N=e.N, coeffs=final, time=e.time + cfg.T, provenance=prov)
+    return _evolved(e, cfg, evolve_batch(e.coeffs, cfg, workers=workers), cfg.T)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -73,11 +73,8 @@ def log_density_unnormalized(f):
 
 def tail_probability(norm_spec, N, K, samples, seed):
     """Monte Carlo estimate of P(norm > K) with its binomial standard error."""
-    batch = sample_batch(N, samples, seed)
-    norms = besov_norm_batch(batch, norm_spec)
-    est = float(np.mean(norms > K))
-    stderr = math.sqrt(est * (1.0 - est) / samples)
-    return est, stderr
+    row = tail_sweep(norm_spec, N, [K], samples, seed)[0]
+    return row["estimate"], row["stderr"]
 
 
 def _wilson(count, n, z=2.576):

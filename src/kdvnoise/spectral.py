@@ -156,16 +156,28 @@ def grid_values(f, M):
     return _grid_from_coeffs(f.coeffs, M)
 
 
-def _block_slices(N):
-    """Dyadic block boundaries [2^j, 2^{j+1}) clipped to 1..N, as index pairs."""
-    out = []
-    j = 0
-    while 2**j <= N:
-        lo = 2**j
-        hi = min(2 ** (j + 1) - 1, N)
-        out.append((lo - 1, hi))  # slice into the 0-based coeff array
-        j += 1
-    return out
+def _block_index(n):
+    """Dyadic block j of a nonzero mode: 2^j <= |n| < 2^(j+1)."""
+    return abs(int(n)).bit_length() - 1
+
+
+def _block_reduce(stats, p):
+    """Per-block l^p values from per-|n| statistics over |n| = 1..N (last axis).
+
+    For finite p, stats holds p-th-power sums and each block takes the p-th
+    root of their total; for p = inf it holds maxima and each block keeps the
+    largest. Blocks [2^j, 2^(j+1)) are clipped to 1..N and read as contiguous
+    slices. Returns (..., number of blocks).
+    """
+    N = stats.shape[-1]
+    blocks = []
+    for j in range(_block_index(N) + 1):
+        seg = stats[..., 2**j - 1 : min(2 ** (j + 1) - 1, N)]
+        if math.isinf(p):
+            blocks.append(seg.max(axis=-1))
+        else:
+            blocks.append(np.sum(seg, axis=-1) ** (1.0 / p))
+    return np.stack(blocks, axis=-1)
 
 
 def besov_norm(f, spec):
@@ -181,15 +193,11 @@ def besov_norm_batch(coeffs, spec):
         return np.zeros(0)
     n = np.arange(1, N + 1, dtype=float)
     weighted = bracket(n) ** spec.s * np.abs(coeffs)
-    blocks = []
-    for lo, hi in _block_slices(N):
-        seg = weighted[:, lo:hi]
-        if math.isinf(spec.p):
-            blocks.append(seg.max(axis=1))
-        else:
-            # factor 2: every positive mode has a mirror of equal magnitude
-            blocks.append((2.0 * np.sum(seg**spec.p, axis=1)) ** (1.0 / spec.p))
-    stack = np.stack(blocks, axis=1)
+    if not math.isinf(spec.p):
+        # factor 2: every positive mode has a mirror of equal magnitude
+        weighted **= spec.p
+        weighted *= 2.0
+    stack = _block_reduce(weighted, spec.p)
     if math.isinf(spec.q):
         return stack.max(axis=1)
     return np.sum(stack**spec.q, axis=1) ** (1.0 / spec.q)

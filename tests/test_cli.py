@@ -116,6 +116,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("sample", path, {}, {})
 
+    def test_unused_estimates_key_rejected(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", "estimates", s=-0.49, p=2.1, bounded_factor=3.0)
+        assert main(["estimates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert read_err(capsys)["error"]["code"] == "config"
+
     def test_hash_stable_and_sensitive(self, tmp_path):
         p1 = write_ini(tmp_path / "a.ini", "sample", N=8, count=2, seed=1)
         c1 = load_config("sample", p1, {}, {})
@@ -221,6 +226,46 @@ class TestCmdEvolve:
         assert rc == 4
         err = read_err(capsys)
         assert err["error"]["code"] == "runtime"
+
+    def test_checkpointed_final_matches_plain(self, tmp_path, capsys):
+        finals = []
+        for name, cps in (("plain", ""), ("cp", "0.1,0.2")):
+            cfg = write_ini(
+                tmp_path / f"{name}.ini", "evolve",
+                N=8, count=3, seed=5, dt=0.01, T=0.3, checkpoints=cps,
+            )
+            assert main(["evolve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            finals.append((tmp_path / name / "ensemble_final.snap").read_bytes())
+        assert finals[0] == finals[1]
+        for c in (0.1, 0.2):
+            h = peek_header(tmp_path / "cp" / f"checkpoint_{c:g}.snap")
+            assert h["time"] == c and h["provenance"]["flow"]["T"] == c
+
+    def test_blowup_reports_run_time(self, tmp_path, capsys):
+        messages = []
+        for name, cps in (("plain", ""), ("cp", "0.04")):
+            cfg = write_ini(
+                tmp_path / f"{name}.ini", "evolve",
+                N=64, count=1, seed=20260821, dt=1e-3, T=0.1, checkpoints=cps,
+            )
+            assert main(["evolve", "--config", cfg, "--out", str(tmp_path / name)]) == 4
+            messages.append(read_err(capsys)["error"]["message"])
+        assert "t~0.052;" in messages[0]
+        assert messages[0] == messages[1]
+
+    def test_checkpoint_name_collision_exit_2(self, tmp_path, capsys):
+        # both names print as checkpoint_0.123456.snap; an empty input keeps
+        # the 1.2 million steps free should the check ever go missing
+        empty = tmp_path / "empty.snap"
+        save_ensemble(generate(4, 0, seed=1), empty)
+        cfg = write_ini(
+            tmp_path / "c.ini", "evolve",
+            input=str(empty), dt=1e-7, T=0.1234563, checkpoints="0.1234561,0.1234562",
+        )
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        assert read_err(capsys)["error"]["code"] == "config"
+        assert not list(out.iterdir())
 
     def test_corrupt_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.snap"

@@ -20,6 +20,7 @@ from kdvnoise.flow import (
     conservation_report,
     evolve,
     evolve_batch,
+    evolve_checkpoints,
     liouville_logdet,
     nonlinear_term,
     probe_dt,
@@ -100,12 +101,6 @@ class TestStep:
         g = step(FourierField.zeros(8), 1e-3)
         assert np.all(g.coeffs == 0)
 
-    def test_linear_limit_is_airy(self):
-        f = wn(8, 4)
-        a = step(f, 1e-3, linear_only=True)
-        b = airy_propagate(f, 1e-3)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
-
     def test_richardson_order4(self):
         # self-convergence at a stable configuration
         f = wn(32, 5)
@@ -124,6 +119,14 @@ class TestStep:
         f = wn(64, 6)
         with pytest.raises(IntegratorBlowupError):
             evolve(f, FlowConfig(dt=1e-3, T=1.0))
+
+    def test_blowup_names_absolute_member(self):
+        # one wild member in the second 512-row chunk; it blows up at once
+        coeffs = np.zeros((600, 8), dtype=complex)
+        coeffs[550] = 100.0 * wn(8, 6).coeffs
+        states = evolve_checkpoints(coeffs, FlowConfig(dt=0.01, T=1.0), [0.5, 1.0], workers=2)
+        with pytest.raises(IntegratorBlowupError, match=r"members \[550\]"):
+            list(states)
 
 
 class TestEvolve:
@@ -155,6 +158,21 @@ class TestEvolve:
         for k in range(3):
             single = evolve(FourierField(8, coeffs[k]), cfg)[-1][1]
             assert np.max(np.abs(out[k] - single.coeffs)) < 1e-12
+
+    def test_checkpoints_match_uninterrupted(self):
+        coeffs = np.stack([wn(8, 12, k).coeffs for k in range(3)])
+        cfg = FlowConfig(dt=1e-3, T=0.05)
+        states = list(evolve_checkpoints(coeffs, cfg, [0.0, 0.02, 0.05]))
+        assert [t for t, _ in states] == [0.0, 0.02, 0.05]
+        assert np.array_equal(states[0][1], coeffs)
+        assert np.array_equal(states[-1][1], evolve_batch(coeffs, cfg))
+
+    def test_checkpoints_checked_before_running(self):
+        cfg = FlowConfig(dt=1e-3, T=0.05)
+        coeffs = wn(8, 13).coeffs[None, :]
+        for times in ([0.0105], [0.06], [0.02, 0.01]):
+            with pytest.raises(ValueError):
+                evolve_checkpoints(coeffs, cfg, times)
 
     def test_batch_worker_independence(self):
         coeffs = np.stack([wn(8, 11, k).coeffs for k in range(7)])

@@ -207,6 +207,14 @@ class TestInvarianceReport:
         rep = invariance_report(a, bad, OBS, alpha=0.01)
         assert not rep["overall_pass"]
 
+    def test_control_keeps_the_member_streams(self):
+        z = generate(8, 5, seed=55).coeffs
+        scaled = generate_control(8, 5, seed=55, variance_factor=4.0).coeffs
+        assert np.array_equal(scaled, 2.0 * z)
+        skewed = generate_control(8, 5, seed=55, skew=0.3).coeffs
+        assert np.array_equal(skewed.real, z.real + 0.3 * (z.real**2 - 1.0))
+        assert np.array_equal(skewed.imag, z.imag + 0.3 * (z.imag**2 - 1.0))
+
     def test_skew_control_fails(self):
         a = generate(8, 4000, seed=53)
         bad = generate_control(8, 4000, seed=54, skew=0.8)

@@ -1,4 +1,5 @@
 """Field representation, convolution, and static norm tests."""
+import ast
 import math
 
 import numpy as np
@@ -225,3 +226,17 @@ class TestGridValues:
     def test_real_output(self):
         f = random_field(5, 31)
         assert grid_values(f, 64).dtype.kind == "f"
+
+
+def test_oracles_share_no_code_with_the_library():
+    # an oracle that imports the code it checks would check nothing
+    with open(oracles.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported, "the import scan found nothing"
+    assert [m for m in imported if m.startswith(".") or m.split(".")[0] == "kdvnoise"] == []
