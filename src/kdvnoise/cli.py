@@ -160,6 +160,8 @@ def _parse_q(raw):
 
 def cmd_tails(cfg, h, out):
     spec = NormSpec(cfg["s"], cfg["p"], _parse_q(cfg["q"]))
+    if cfg["k_min"] > cfg["k_max"]:
+        raise ConfigError(f"empty K range: k_min={cfg['k_min']:g} > k_max={cfg['k_max']:g}")
     Ks = np.arange(cfg["k_min"], cfg["k_max"] + 0.5 * cfg["k_step"], cfg["k_step"])
     rows = tail_sweep(spec, cfg["N"], Ks, cfg["samples"], cfg["seed"])
     lines = [

@@ -2,15 +2,17 @@
 
 The stiff linear part (phase speed n^3) is handled exactly by unimodular
 phase factors; the quadratic transport term is evaluated pseudospectrally on
-an alias-free padded grid. The integrating factor removes the linear phase
-but not the resonant one: the quadratic term carries phases e^{i 3 n n1 n2 t}
-with |3 n n1 n2| up to 3N^3/4, and the explicit stages resolve them only
-while the step resonance number dt * 3N^3/4 is of order 1 or below. That,
-not the advective bound 2.8 / (N * max|u|), is the binding limit: for white
-noise at N=64 the advective bound is ~8.7e-4, yet the steps 5e-4 and 2.5e-4
-(resonance numbers 98 and 49) blow up near t=0.12 and t=0.33. probe_dt
-starts its search at the advective bound and halves the step until the
-drift target holds.
+a padded grid that follows the 3/2 rule: M > 3N points (the power of two
+above 3N) keep the aliases of the product off the retained modes. The
+integrating factor removes the linear phase but not the resonant one: the
+quadratic term carries phases e^{i 3 n n1 n2 t} with |3 n n1 n2| up to
+3N^3/4, and the explicit stages resolve them only while the step resonance
+number dt * 3N^3/4 is of order 1 or below. That, not the advective bound
+2.8 / (N * max|u|), is the binding limit: for white noise at N=64 the
+advective bound is ~8.7e-4, yet the steps 5e-4 and 2.5e-4 (resonance
+numbers 98 and 49) blow up near t=0.12 and t=0.33. probe_dt starts its
+search at the advective bound and halves the step until the drift target
+holds.
 """
 from __future__ import annotations
 
@@ -41,7 +43,28 @@ _CHUNK_ROWS = 512  # fixed so worker count never changes the arithmetic
 
 
 class IntegratorBlowupError(RuntimeError):
-    """Raised when a trajectory leaves the trusted numerical range."""
+    """Raised when a trajectory leaves the trusted numerical range.
+
+    members lists the run's member indices that left it and t is the run
+    time at which the first of them did; they are [] and None when the
+    error does not come from a step.
+    """
+
+    def __init__(self, message, members=(), t=None):
+        super().__init__(message)
+        self.members = list(members)
+        self.t = t
+
+
+def _blowup(members, t, dt, N):
+    return IntegratorBlowupError(
+        f"members {members} exceeded |coeff| {_BLOWUP_LIMIT:g}, the first "
+        f"at t~{t:.4g}; step resonance number |dt|*3N^3/4 = "
+        f"{abs(dt) * 0.75 * N**3:.3g}; IF-RK4 resolves the resonant phases "
+        f"only when it is of order 1 or below",
+        members,
+        t,
+    )
 
 
 class FDProbeError(RuntimeError):
@@ -75,20 +98,32 @@ class FlowConfig:
         return round(abs(self.T) / self.dt)
 
 
-def _nonlinear_rows(rows, M):
-    """-(in/2) (u^2)^(n) for each row of positive-mode coefficients."""
-    count, N = rows.shape
-    buf = np.zeros((count, M // 2 + 1), dtype=np.complex128)
+def _nonlinear_rows(rows, scale, buf, out):
+    """-(in/2) (u^2)^(n) for each row of positive-mode coefficients, into out.
+
+    buf is the (count, M/2 + 1) padded spectrum, zero outside columns 1..N;
+    only those columns are rewritten. scale is -(in/2) times M: the factor M
+    of the grid values and the 1/M of the forward transform, both exact
+    powers of two, fold into it.
+    """
+    N = rows.shape[1]
+    M = 2 * (buf.shape[1] - 1)
     buf[:, 1 : N + 1] = rows
-    u = np.fft.irfft(buf, M, axis=1) * M
-    wh = np.fft.rfft(u * u, axis=1) / M
-    n = np.arange(1, N + 1)
-    return -0.5j * n * wh[:, 1 : N + 1]
+    u = np.fft.irfft(buf, M, axis=1)
+    u *= u
+    return np.multiply(np.fft.rfft(u, axis=1)[:, 1 : N + 1], scale, out=out)
+
+
+def _nonlinear_scale(N, M):
+    return -0.5j * M * np.arange(1, N + 1)
 
 
 def nonlinear_term(f):
     """Quadratic transport term of the truncated system at a single state."""
-    out = _nonlinear_rows(f.coeffs[None, :], _dealias_length(f.N))
+    M = _dealias_length(f.N)
+    buf = np.zeros((1, M // 2 + 1), dtype=np.complex128)
+    out = np.empty((1, f.N), dtype=np.complex128)
+    _nonlinear_rows(f.coeffs[None, :], _nonlinear_scale(f.N, M), buf, out)
     return FourierField(f.N, out[0])
 
 
@@ -109,31 +144,49 @@ def _rk4_chunk(rows, dt, nsteps, M, t0, first):
     """Integrating-factor RK4 on a (count, N) block; dt may be negative.
 
     t0 and first are the block's start time and first member index within
-    the run; they only place a blowup in the error message.
+    the run; they only place a blowup in the error message. The padded
+    spectrum, the four stages and the stage input are allocated once per
+    call, so concurrent chunks never share a buffer.
     """
-    N = rows.shape[1]
+    count, N = rows.shape
     ph_h = _airy_phase(N, 0.5 * dt)
     ph_f = ph_h * ph_h
+    back_h, back_f = np.conj(ph_h), np.conj(ph_f)
+    scale = _nonlinear_scale(N, M)
+    buf = np.zeros((count, M // 2 + 1), dtype=np.complex128)
+    k1, k2, k3, k4, x = np.empty((5, count, N), dtype=np.complex128)
     a = rows.copy()
-    for k in range(nsteps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = _nonlinear_rows(a, M)
-            k2 = np.conj(ph_h) * _nonlinear_rows(ph_h * (a + 0.5 * dt * k1), M)
-            k3 = np.conj(ph_h) * _nonlinear_rows(ph_h * (a + 0.5 * dt * k2), M)
-            k4 = np.conj(ph_f) * _nonlinear_rows(ph_f * (a + dt * k3), M)
-            a = ph_f * (a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+    def stage(k_in, c, ph, back, k_out):
+        # k_out = conj(ph) * F(ph * (a + c*dt*k_in)), operands in this order:
+        # complex products may use fused multiply-adds, which do not commute
+        np.multiply(c * dt, k_in, out=x)
+        np.add(a, x, out=x)
+        np.multiply(ph, x, out=x)
+        _nonlinear_rows(x, scale, buf, k_out)
+        np.multiply(back, k_out, out=k_out)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            _nonlinear_rows(a, scale, buf, k1)
+            stage(k1, 0.5, ph_h, back_h, k2)
+            stage(k2, 0.5, ph_h, back_h, k3)
+            stage(k3, 1.0, ph_f, back_f, k4)
+            # a = ph_f * (a + dt/6 * (((k1 + 2 k2) + 2 k3) + k4))
+            np.multiply(2.0, k2, out=k2)
+            np.add(k1, k2, out=k2)
+            np.multiply(2.0, k3, out=k3)
+            np.add(k2, k3, out=k2)
+            np.add(k2, k4, out=k2)
+            np.multiply(dt / 6.0, k2, out=k2)
+            np.add(a, k2, out=a)
+            np.multiply(ph_f, a, out=a)
             peak = np.abs(a).max(initial=0.0)
-        if not np.isfinite(peak) or peak > _BLOWUP_LIMIT:
-            with np.errstate(invalid="ignore"):
+            if not np.isfinite(peak) or peak > _BLOWUP_LIMIT:
                 mags = np.abs(a)
                 mags[~np.isfinite(mags)] = np.inf
                 bad = first + np.where(mags.max(axis=1) > _BLOWUP_LIMIT)[0]
-            raise IntegratorBlowupError(
-                f"members {bad.tolist()} exceeded |coeff| {_BLOWUP_LIMIT:g} "
-                f"at t~{t0 + (k + 1) * dt:.4g}; step resonance number "
-                f"|dt|*3N^3/4 = {abs(dt) * 0.75 * N**3:.3g}; IF-RK4 resolves "
-                f"the resonant phases only when it is of order 1 or below"
-            )
+                raise _blowup(bad.tolist(), t0 + (k + 1) * dt, dt, N)
     return a
 
 
@@ -160,9 +213,11 @@ def _run_batch(rows, dt, nsteps, workers, t0):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, chunks))
+    # every chunk runs to its end or its own blowup; report them all at once
     failures = [r for r in results if r is not None]
     if failures:
-        raise failures[0]
+        members = [m for exc in failures for m in exc.members]
+        raise _blowup(members, min((exc.t for exc in failures), key=abs), dt, N)
     return out
 
 

@@ -58,10 +58,20 @@ def _read_header(raw):
         header = json.loads(raw[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SnapshotError(f"header is a JSON {type(header).__name__}, not an object")
     if header.get("format_version") != _FORMAT_VERSION:
         raise SnapshotError(
             f"unsupported format version {header.get('format_version')!r}"
         )
+    for key, low in (("N", 1), ("count", 0)):
+        value = header.get(key)
+        if type(value) is not int or value < low:
+            raise SnapshotError(f"header {key} must be an integer >= {low}, got {value!r}")
+    if not isinstance(header.get("payload_sha256"), str):
+        raise SnapshotError("header lacks the payload checksum")
+    if type(header.get("time")) not in (int, float) or "provenance" not in header:
+        raise SnapshotError("header lacks a numeric time or the provenance")
     return header, raw[start + hlen :]
 
 

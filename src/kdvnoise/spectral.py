@@ -103,10 +103,10 @@ class NormSpec:
 
 
 def _dealias_length(N):
-    # product of two degree-N fields has degree 2N; an M-point grid represents
-    # it alias-free for the retained modes when M > 4N
-    M = 4 * N + 2
-    return 1 << (M - 1).bit_length()
+    # mode k of a product of two degree-N fields has |k| <= 2N; on an M-point
+    # grid it aliases to k + M, which stays above the retained modes 1..N
+    # when M > 3N (the 3/2 rule); this is the power of two above 3N
+    return 1 << (3 * N).bit_length()
 
 
 def convolve(f, g, method="transform"):

@@ -91,6 +91,42 @@ class TestSnapshots:
             load_ensemble(p)
 
 
+def write_snap(path, header, payload=b""):
+    """A snapshot whose header JSON is given verbatim, magic taken from a real file."""
+    save_ensemble(generate(2, 1, seed=1), path)
+    blob = json.dumps(header).encode("utf-8")
+    magic = path.read_bytes()[:8]
+    path.write_bytes(magic + len(blob).to_bytes(4, "little") + blob + payload)
+
+
+class TestSnapshotHeaderSchema:
+    VALID = {"format_version": 1, "N": 2, "count": 1, "time": 0.0,
+             "provenance": {}, "payload_sha256": "0" * 64}
+
+    @pytest.mark.parametrize("header", [
+        {k: v for k, v in VALID.items() if k != "N"},
+        [1, 2, 3],
+        dict(VALID, N=-1),
+        dict(VALID, count="1"),
+        dict(VALID, N=True),
+        {k: v for k, v in VALID.items() if k != "payload_sha256"},
+        dict(VALID, time="0"),
+    ], ids=["missing-N", "list", "negative-N", "string-count", "bool-N", "missing-checksum",
+            "string-time"])
+    def test_rejected_with_exit_3(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.snap"
+        write_snap(bad, header, payload=bytes(32))
+        with pytest.raises(SnapshotError):
+            load_ensemble(bad)
+        with pytest.raises(SnapshotError):
+            peek_header(bad)
+        cfg = write_ini(tmp_path / "c.ini", "evolve", input=str(bad), dt=1e-3, T=0.01)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["code"] == "io"
+
+
 class TestConfig:
     def test_precedence(self, tmp_path):
         path = write_ini(tmp_path / "c.ini", "sample", N=8, count=2, seed=1)
@@ -316,6 +352,16 @@ class TestCmdTails:
         assert lines[1] == "K,count,samples,estimate,stderr,wilson_low,wilson_high,censored"
         fit = json.loads((out / "tail_fit.json").read_text())
         assert fit["slope"] < 0
+
+    def test_empty_k_range_exit_2(self, tmp_path, capsys):
+        cfg = write_ini(
+            tmp_path / "c.ini", "tails",
+            N=8, samples=10, seed=4, s=-0.49, p=2.1, k_min=3.0, k_max=2.0, k_step=0.2,
+        )
+        assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["code"] == "config"
 
 
 class TestCmdLemmas:

@@ -27,7 +27,7 @@ from kdvnoise.flow import (
     step,
 )
 from kdvnoise.noise import GaussianSampleSpec, sample
-from kdvnoise.spectral import FourierField, l2_mass
+from kdvnoise.spectral import FourierField, _dealias_length, l2_mass
 
 
 def wn(N, seed, stream=0):
@@ -68,6 +68,15 @@ class TestNonlinearTerm:
 
     def test_pseudospectral_oracle(self):
         f = wn(16, 77)
+        expect = oracles.nonlinear_pseudospectral(f.coeffs)
+        got = nonlinear_term(f).coeffs
+        assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < 1e-11
+
+    @pytest.mark.parametrize("N", [5, 21, 85])
+    def test_pseudospectral_oracle_at_alias_edge(self, N):
+        # M = 3N + 1 exactly: one point fewer and mode -2N aliases onto N
+        assert _dealias_length(N) == 3 * N + 1
+        f = wn(N, 79)
         expect = oracles.nonlinear_pseudospectral(f.coeffs)
         got = nonlinear_term(f).coeffs
         assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < 1e-11
@@ -128,6 +137,26 @@ class TestStep:
         with pytest.raises(IntegratorBlowupError, match=r"members \[550\]"):
             list(states)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blowup_names_every_chunk(self, workers):
+        # wild members in the first and second 512-row chunks, the second
+        # tamer so it blows up later; the error keeps both and the earlier t
+        cfg = FlowConfig(dt=0.01, T=1.0)
+        coeffs = np.zeros((1100, 8), dtype=complex)
+        coeffs[10] = 100.0 * wn(8, 6).coeffs
+        coeffs[600] = 10.0 * wn(8, 6).coeffs
+        times = []
+        for row in (10, 600):
+            with pytest.raises(IntegratorBlowupError) as alone:
+                evolve_batch(coeffs[row : row + 1], cfg)
+            times.append(alone.value.t)
+        assert times[0] < times[1]
+        with pytest.raises(IntegratorBlowupError, match=r"members \[10, 600\]") as exc:
+            evolve_batch(coeffs, cfg, workers=workers)
+        assert exc.value.members == [10, 600]
+        assert exc.value.t == times[0]
+        assert f"t~{times[0]:.4g};" in str(exc.value)
+
 
 class TestEvolve:
     def test_time_zero(self):
@@ -173,6 +202,17 @@ class TestEvolve:
         for times in ([0.0105], [0.06], [0.02, 0.01]):
             with pytest.raises(ValueError):
                 evolve_checkpoints(coeffs, cfg, times)
+
+    def test_chunked_runs_bit_exact(self):
+        # 1100 rows are three 512-row chunks, so workers 2 and 3 run chunks
+        # on separate threads, each with its own stage buffers
+        coeffs = np.stack([wn(8, 14, k).coeffs for k in range(1100)])
+        cfg = FlowConfig(dt=1e-3, T=0.02)
+        runs = [evolve_batch(coeffs, cfg, workers=w) for w in (1, 2, 3)]
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
+        states = list(evolve_checkpoints(coeffs, cfg, [0.005, 0.01, 0.02], workers=2))
+        assert np.array_equal(states[-1][1], runs[0])
 
     def test_batch_worker_independence(self):
         coeffs = np.stack([wn(8, 11, k).coeffs for k in range(7)])

@@ -9,6 +9,7 @@ import oracles
 from kdvnoise.spectral import (
     FourierField,
     NormSpec,
+    _dealias_length,
     besov_norm,
     bracket,
     convolve,
@@ -101,6 +102,16 @@ class TestConvolve:
         b = convolve(f, g, method="transform")
         scale = np.max(np.abs(a.coeffs)) or 1.0
         assert np.max(np.abs(a.coeffs - b.coeffs)) / scale < 1e-12
+
+    @pytest.mark.parametrize("N", [5, 21, 85])
+    def test_direct_vs_transform_at_alias_edge(self, N):
+        # M = 3N + 1 exactly: one point fewer and mode -2N aliases onto N
+        assert _dealias_length(N) == 3 * N + 1
+        f = random_field(N, 30 + N)
+        g = random_field(N, 40 + N)
+        a = convolve(f, g, method="direct")
+        b = convolve(f, g, method="transform")
+        assert np.max(np.abs(a.coeffs - b.coeffs)) / np.max(np.abs(a.coeffs)) < 1e-12
 
     def test_transform_vs_loop_oracle(self):
         f = random_field(8, 3)
