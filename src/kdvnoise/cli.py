@@ -24,7 +24,7 @@ from .flow import FDProbeError, FlowConfig, IntegratorBlowupError, conservation_
     evolve_checkpoints
 from .invariance import ObservableSpec, _evolved, generate, invariance_report, push_forward
 from .noise import decay_median_curve, fit_log_tail, tail_sweep
-from .snapshots import SnapshotError, load_ensemble, save_ensemble
+from .snapshots import SnapshotError, load_ensemble, save_ensemble, write_atomic
 from .spectral import FourierField, NormSpec
 
 __all__ = ["main"]
@@ -49,11 +49,18 @@ def _flow_config(cfg_dt, cfg_T, **kw):
 
 
 def _write_csv(path, stamp, columns, rows):
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path, encoding="utf-8") as fh:
         fh.write(stamp + "\n")
         fh.write(columns + "\n")
         for row in rows:
             fh.write(row + "\n")
+
+
+def _write_json(path, obj):
+    # allow_nan=False: a NaN would make the file invalid JSON
+    with write_atomic(path, encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def _headline_observables():
@@ -133,9 +140,7 @@ def cmd_invariance(cfg, h, out):
     report = invariance_report(base, evolved, _headline_observables(), cfg["alpha"])
     report["tool"] = f"kdvnoise {__version__}"
     report["config_hash"] = h
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "report.json"), report)
     rows = [
         f"{r['name']},{r['D']:.10g},{r['threshold']:.10g},{int(r['passes'])},"
         f"{r['mean_a']:.10g},{r['mean_b']:.10g},{r['mean_se']:.10g},"
@@ -155,11 +160,17 @@ def _parse_q(raw):
     low = str(raw).strip().lower()
     if low in ("inf", "infinity", ""):
         return math.inf
-    return float(low)
+    try:
+        return float(low)
+    except ValueError:
+        raise ConfigError(f"bad value for 'q': {raw!r} (expected a number or inf)") from None
 
 
 def cmd_tails(cfg, h, out):
-    spec = NormSpec(cfg["s"], cfg["p"], _parse_q(cfg["q"]))
+    try:
+        spec = NormSpec(cfg["s"], cfg["p"], _parse_q(cfg["q"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg["k_min"] > cfg["k_max"]:
         raise ConfigError(f"empty K range: k_min={cfg['k_min']:g} > k_max={cfg['k_max']:g}")
     Ks = np.arange(cfg["k_min"], cfg["k_max"] + 0.5 * cfg["k_step"], cfg["k_step"])
@@ -179,9 +190,7 @@ def cmd_tails(cfg, h, out):
     fit = fit_log_tail(rows)
     fit["tool"] = f"kdvnoise {__version__}"
     fit["config_hash"] = h
-    with open(os.path.join(out, "tail_fit.json"), "w", encoding="utf-8") as fh:
-        json.dump(fit, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "tail_fit.json"), fit)
     return 0
 
 

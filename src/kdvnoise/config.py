@@ -40,13 +40,13 @@ _SCHEMAS = {
     "sample": {
         "N": ("int", _REQUIRED, _positive),
         "count": ("int", _REQUIRED, _nonnegative),
-        "seed": ("int", 0, None),
+        "seed": ("int", 0, _nonnegative),
     },
     "evolve": {
         "input": ("str", "", None),
         "N": ("int", 0, _nonnegative),
         "count": ("int", 0, _nonnegative),
-        "seed": ("int", 0, None),
+        "seed": ("int", 0, _nonnegative),
         "dt": ("float", _REQUIRED, _positive),
         "T": ("float", _REQUIRED, _nonnegative),
         "checkpoints": ("str", "", None),
@@ -54,8 +54,8 @@ _SCHEMAS = {
     },
     "invariance": {
         "N": ("int", _REQUIRED, _positive),
-        "count": ("int", _REQUIRED, _positive),
-        "seed": ("int", 0, None),
+        "count": ("int", _REQUIRED, lambda x: x >= 2),
+        "seed": ("int", 0, _nonnegative),
         "dt": ("float", _REQUIRED, _positive),
         "T": ("float", _REQUIRED, _nonnegative),
         "alpha": ("float", 0.01, _unit_open),
@@ -64,7 +64,7 @@ _SCHEMAS = {
     "tails": {
         "N": ("int", _REQUIRED, _positive),
         "samples": ("int", _REQUIRED, _positive),
-        "seed": ("int", 0, None),
+        "seed": ("int", 0, _nonnegative),
         "s": ("float", _REQUIRED, None),
         "p": ("float", _REQUIRED, lambda x: x >= 1),
         "q": ("str", "inf", None),
@@ -75,7 +75,7 @@ _SCHEMAS = {
     "lemmas": {
         "resonance_bound": ("int", 200, _positive),
         "psum_cutoff": ("int", 10**6, _positive),
-        "seed": ("int", 0, None),
+        "seed": ("int", 0, _nonnegative),
         "decay_m_max": ("int", 65536, _positive),
         "decay_seeds": ("int", 200, _positive),
         "decay_delta": ("float", 0.1, _unit_open),
@@ -88,7 +88,7 @@ _SCHEMAS = {
         "delta": ("float", 0.01, _unit_open),
         "n_list": ("str", "8,16,32,64", None),
         "trials": ("int", 200, _nonnegative),
-        "seed": ("int", 0, None),
+        "seed": ("int", 0, _nonnegative),
         "time_loc": ("bool", True, None),
     },
 }

@@ -2,14 +2,26 @@
 
 Each retained mode gets an independent standard complex Gaussian (real and
 imaginary parts i.i.d. N(0,1)), matching the density proportional to
-exp(-l2_mass/4) on the truncated lattice. Streams are split with
-SeedSequence([seed, stream]) so any member of any ensemble can be regenerated
-independently of batch layout.
+exp(-l2_mass/4) on the truncated lattice. Row i of a batch is stream
+stream_start+i: the N real parts, then the N imaginary parts, drawn by
+default_rng(SeedSequence([seed, stream])). Any member of any ensemble can
+therefore be regenerated from (seed, stream), independently of batch layout.
+
+sample_batch builds none of those per-row objects. It hashes the
+SeedSequence pools and generate_state words of 512 streams at once in uint32
+arithmetic, turns each row's four words into the PCG64 (state, inc) by the
+128-bit set-seed step, assigns that state to one PCG64 and draws the row's 2N
+normals with one call (the ziggurat keeps no cache between calls, so this
+equals the two N-draws). NumPy's random policy (NEP 19) keeps the
+SeedSequence hash, PCG64 seeding and the normal stream fixed across
+releases, and the tests compare every row byte for byte with the per-row
+construction.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -43,27 +55,133 @@ class GaussianSampleSpec:
             raise ValueError("seed and stream must be nonnegative")
 
 
-def _rng(seed, stream):
-    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+# SeedSequence hash constants (numpy/random/bit_generator.pyx) and the 128-bit
+# PCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M128 = (1 << 128) - 1
+_BLOCK = 512  # rows per hash pass and per draw buffer
 
 
-def _draw(rng, N):
-    re = rng.standard_normal(N)
-    im = rng.standard_normal(N)
-    return re + 1j * im
+def _hash_consts(init, mult, count):
+    """(xor, multiply) columns of count successive hash steps from init."""
+    hc = [init]
+    for _ in range(count):
+        hc.append(hc[-1] * mult & _M32)
+    hc = np.array(hc, dtype=np.uint32)[:, None]
+    return hc[:-1], hc[1:]
 
 
-def sample(spec):
-    """One field drawn from the coefficient measure."""
-    return FourierField(spec.N, _draw(_rng(spec.seed, spec.stream), spec.N))
+_STATE_XOR, _STATE_MUL = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+# the entropy hash's first 4 steps fill the pool; steps 4..15 take pool word
+# src into word dst, src-major over dst != src (the src entry is a placeholder)
+_POOL_XOR, _POOL_MUL = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+_MIX_ROWS = np.zeros((_POOL, _POOL), dtype=np.intp)
+_MIX_ROWS[~np.eye(_POOL, dtype=bool)] = np.arange(_POOL, _POOL * _POOL)
+_MIX_XOR, _MIX_MUL = _POOL_XOR[_MIX_ROWS], _POOL_MUL[_MIX_ROWS]
+
+
+def _int_words(n):
+    """The uint32 words SeedSequence reads from a nonnegative int (0 -> [0])."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hash(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    v = _MIX_L * x - _MIX_R * y
+    return v ^ (v >> 16)
+
+
+def _generate_state(entropy):
+    """SeedSequence(words).generate_state(4, uint64) for each column of words.
+
+    entropy is a (words, columns) uint32 array, zero-padded to at least the
+    pool size as SeedSequence pads it. The hash constants do not depend on
+    the data. While one pool word is hashed into the three others it does not
+    change, so those three hashes are one vectorized step; the step runs on
+    all four rows and the source row is put back.
+    """
+    pool = _hash(entropy[:_POOL], _POOL_XOR[:_POOL], _POOL_MUL[:_POOL])
+    for src in range(_POOL):
+        h = _hash(pool[src], _MIX_XOR[src], _MIX_MUL[src])
+        kept = pool[src].copy()
+        pool = _mix(pool, h)
+        pool[src] = kept
+    # entropy beyond the pool: each word is hashed into all four
+    xor, mul = _hash_consts(int(_POOL_MUL[-1, 0]), _MULT_A, _POOL * (len(entropy) - _POOL))
+    for k, word in enumerate(entropy[_POOL:]):
+        rows = slice(_POOL * k, _POOL * (k + 1))
+        pool = _mix(pool, _hash(word, xor[rows], mul[rows]))
+    state = _hash(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MUL).astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)
+
+
+def _pcg_states(seed, start, stop):
+    """PCG64 (state, inc) of SeedSequence([seed, s]) for s in range(start, stop).
+
+    The range is cut where the high words of s change, so within a piece only
+    the low word varies and every other entropy word is a constant.
+    """
+    seed_words = _int_words(seed)
+    out = []
+    while start < stop:
+        hi = min(stop, (start | _M32) + 1)
+        high = _int_words(start >> 32) if start >> 32 else []
+        words = seed_words + [start & _M32] + high
+        words += [0] * (_POOL - len(words))
+        entropy = np.repeat(np.array(words, dtype=np.uint32)[:, None], hi - start, axis=1)
+        entropy[len(seed_words)] += np.arange(hi - start, dtype=np.uint32)
+        s0, s1, i0, i1 = _generate_state(entropy).tolist()
+        # pcg64_set_seed: inc = 2*seq+1, state = (inc + initstate)*mult + inc
+        for a, b, c, d in zip(s0, s1, i0, i1):
+            inc = ((c << 64 | d) << 1 | 1) & _M128
+            out.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128, inc))
+        start = hi
+    return out
 
 
 def sample_batch(N, count, seed, stream_start=0):
     """(count, N) coefficient rows; row i is exactly the stream_start+i stream."""
+    seed, stream_start = operator.index(seed), operator.index(stream_start)
+    if seed < 0 or stream_start < 0:
+        raise ValueError("seed and stream must be nonnegative")
     out = np.empty((count, N), dtype=np.complex128)
-    for i in range(count):
-        out[i] = _draw(_rng(seed, stream_start + i), N)
+    # each row's N real then N imaginary parts, one block of rows at a time
+    parts = np.empty((min(count, _BLOCK), 2 * N))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for b0 in range(0, count, _BLOCK):
+        b1 = min(count, b0 + _BLOCK)
+        states = _pcg_states(seed, stream_start + b0, stream_start + b1)
+        for row, (state, inc) in zip(parts, states):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.standard_normal(out=row)
+        rows = parts[: b1 - b0].reshape(b1 - b0, 2, N)
+        out[b0:b1].real = rows[:, 0]
+        out[b0:b1].imag = rows[:, 1]
     return out
+
+
+def sample(spec):
+    """One field drawn from the coefficient measure."""
+    return FourierField(spec.N, sample_batch(spec.N, 1, spec.seed, spec.stream)[0])
 
 
 def log_density_unnormalized(f):
@@ -152,7 +270,7 @@ def decay_ratio(M, delta, seed):
     """
     if M < 1 or (M & (M - 1)) != 0:
         raise ValueError(f"M must be a power of two, got {M}")
-    g = _draw(_rng(seed, M), M)
+    g = sample_batch(M, 1, seed, stream_start=M)[0]
     mags = np.abs(g) ** 2
     return float(M ** (1.0 - delta) * mags.max() / mags.sum())
 

@@ -4,19 +4,24 @@ Layout: an 8-byte magic string, a little-endian uint32 header length, the
 UTF-8 JSON header, then the raw complex128 payload (count x N, row-major,
 little-endian). The header carries a SHA-256 of the payload so corruption
 and truncation are detected on load. Serialization is canonical (sorted
-keys), so identical ensembles produce identical files.
+keys), so identical ensembles produce identical files. Every output file of
+the package is written through write_atomic, so a reader sees either the old
+file or the complete new one.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import secrets
 import struct
 
 import numpy as np
 
 from .invariance import Ensemble
 
-__all__ = ["SnapshotError", "load_ensemble", "peek_header", "save_ensemble"]
+__all__ = ["SnapshotError", "load_ensemble", "peek_header", "save_ensemble", "write_atomic"]
 
 _MAGIC = b"KDVSNAP\x01"
 _FORMAT_VERSION = 1
@@ -25,6 +30,25 @@ _ITEM = np.dtype("<c16")
 
 class SnapshotError(Exception):
     """Raised when a snapshot file is malformed, corrupt, or unsupported."""
+
+
+@contextlib.contextmanager
+def write_atomic(path, mode="w", **kwargs):
+    """Open a new temporary file beside path; on a clean exit it replaces path.
+
+    If the body raises, the temporary file is removed and path is untouched.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def save_ensemble(ensemble, path):
@@ -38,7 +62,7 @@ def save_ensemble(ensemble, path):
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with write_atomic(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

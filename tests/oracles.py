@@ -156,3 +156,18 @@ def ks_statistic_brute(a, b):
         fb = np.sum(b <= x) / len(b)
         d = max(d, abs(fa - fb))
     return float(d)
+
+
+def gaussian_rows(N, count, seed, stream_start):
+    """Coefficient rows built one stream at a time, one Generator per row.
+
+    Row i is default_rng(SeedSequence([seed, stream_start + i])): N real
+    parts, then N imaginary parts.
+    """
+    out = np.empty((count, N), dtype=complex)
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, stream_start + i]))
+        re = rng.standard_normal(N)
+        im = rng.standard_normal(N)
+        out[i] = re + 1j * im
+    return out

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from kdvnoise import __version__
+from kdvnoise import cli
 from kdvnoise.cli import main
 from kdvnoise.config import ConfigError, config_hash, load_config
 from kdvnoise.invariance import generate
-from kdvnoise.snapshots import SnapshotError, load_ensemble, peek_header, save_ensemble
+from kdvnoise.snapshots import SnapshotError, load_ensemble, peek_header, save_ensemble, \
+    write_atomic
 
 
 def write_ini(path, section, **kv):
@@ -97,6 +99,56 @@ def write_snap(path, header, payload=b""):
     blob = json.dumps(header).encode("utf-8")
     magic = path.read_bytes()[:8]
     path.write_bytes(magic + len(blob).to_bytes(4, "little") + blob + payload)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with write_atomic(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("disk gone")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_failed_csv_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, "# stamp", "a,b", ["1,2", "3,4"])
+        old = path.read_bytes()
+
+        def rows():
+            yield "5,6"
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            cli._write_csv(path, "# stamp", "a,b", rows())
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_failed_snapshot_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.snap"
+        save_ensemble(generate(4, 3, seed=1), path)
+        old = path.read_bytes()
+
+        def boom(*args):
+            raise OSError("no space left on device")
+
+        # the magic is already written when the header length fails
+        monkeypatch.setattr("kdvnoise.snapshots.struct.pack", boom)
+        with pytest.raises(OSError):
+            save_ensemble(generate(4, 3, seed=2), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.snap"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "e.snap"
+        save_ensemble(generate(4, 3, seed=1), path)
+        save_ensemble(generate(4, 3, seed=2), path)
+        assert np.array_equal(load_ensemble(path).coeffs, generate(4, 3, seed=2).coeffs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.snap"]
 
 
 class TestSnapshotHeaderSchema:
@@ -210,6 +262,23 @@ class TestCmdSample:
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         rc = main(["sample", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("sub,keys", [
+        ("sample", dict(N=4, count=1)),
+        ("evolve", dict(N=4, count=1, dt=1e-3, T=0.01)),
+        ("invariance", dict(N=4, count=2, dt=1e-3, T=0.0)),
+        ("tails", dict(N=4, samples=10, s=-0.49, p=2.1, k_min=1.0, k_max=2.0, k_step=0.5)),
+        ("lemmas", dict(resonance_bound=10, psum_cutoff=100, decay_m_max=4, decay_seeds=2)),
+        ("estimates", dict(s=-0.49, p=2.1, n_list="8", trials=1, time_loc="false")),
+    ])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, sub, keys):
+        cfg = write_ini(tmp_path / "c.ini", sub, seed=-1, **keys)
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        cfg = write_ini(tmp_path / "d.ini", sub, **keys)
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2
+        assert all(json.loads(line)["error"]["code"] == "config" for line in err)
 
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "sample", N=8, count=1, seed=1)
@@ -337,6 +406,32 @@ class TestCmdInvariance:
         rep = json.loads((out / "report.json").read_text())
         assert rep["overall_pass"] is True
 
+    def test_one_member_exit_2(self, tmp_path, capsys):
+        cfg = write_ini(
+            tmp_path / "c.ini", "invariance",
+            N=4, count=1, seed=1, dt=1e-3, T=0.01, alpha=0.01,
+        )
+        out = tmp_path / "o"
+        assert main(["invariance", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["code"] == "config"
+        assert not (out / "report.json").exists()
+
+    def test_two_members_strict_json(self, tmp_path, capsys):
+        cfg = write_ini(
+            tmp_path / "c.ini", "invariance",
+            N=4, count=2, seed=1, dt=1e-3, T=0.01, alpha=0.01,
+        )
+        out = tmp_path / "o"
+        assert main(["invariance", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        rep = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert len(rep["observables"]) == 5
+
 
 class TestCmdTails:
     def test_csv_and_fit(self, tmp_path, capsys):
@@ -357,6 +452,17 @@ class TestCmdTails:
         cfg = write_ini(
             tmp_path / "c.ini", "tails",
             N=8, samples=10, seed=4, s=-0.49, p=2.1, k_min=3.0, k_max=2.0, k_step=0.2,
+        )
+        assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["code"] == "config"
+
+    @pytest.mark.parametrize("q", ["abc", "0.5", "nan"])
+    def test_bad_q_exit_2(self, tmp_path, capsys, q):
+        cfg = write_ini(
+            tmp_path / "c.ini", "tails",
+            N=8, samples=10, seed=4, s=-0.49, p=2.1, q=q, k_min=1.0, k_max=2.0, k_step=0.2,
         )
         assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()

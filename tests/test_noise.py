@@ -1,7 +1,9 @@
 """White-noise sampling, density, tail, and decay statistic tests."""
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from kdvnoise.noise import (
@@ -72,6 +74,53 @@ class TestSample:
         # var of each one-sided |a|^2 is 4, so var(l2) = 16 N
         se = math.sqrt(16.0 * N / count)
         assert abs(np.mean(masses) - 4.0 * N) < 3 * se
+
+
+class TestStreamExactness:
+    """sample_batch against per-row SeedSequence construction, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64, 2**70])
+    @pytest.mark.parametrize("stream_start", [0, 7, 2**32 - 3])
+    def test_seeds_and_stream_starts(self, seed, stream_start):
+        # six rows from 2^32-3 cross from one-word to two-word streams; with
+        # seed 2^70 (three words) the entropy then outgrows the pool of four
+        got = sample_batch(5, 6, seed, stream_start)
+        assert got.tobytes() == oracles.gaussian_rows(5, 6, seed, stream_start).tobytes()
+
+    @pytest.mark.parametrize("seed,stream_start", [(0, 0), (2**70, 2**32 - 3)])
+    @pytest.mark.parametrize("count", [0, 1, 513, 1100])
+    @pytest.mark.parametrize("N", [1, 5, 256])
+    def test_counts_and_cutoffs(self, N, count, seed, stream_start):
+        got = sample_batch(N, count, seed, stream_start)
+        assert got.shape == (count, N)
+        assert got.tobytes() == oracles.gaussian_rows(N, count, seed, stream_start).tobytes()
+
+    @pytest.mark.parametrize("N,seed,stream", [(1, 0, 0), (5, 2**64, 7), (256, 3, 2**32 - 1)])
+    def test_sample_is_the_stream_row(self, N, seed, stream):
+        f = sample(GaussianSampleSpec(N, seed, stream))
+        assert f.coeffs.tobytes() == oracles.gaussian_rows(N, 1, seed, stream)[0].tobytes()
+
+    @pytest.mark.parametrize("M", [1, 16, 1024])
+    def test_decay_ratio_is_the_stream_m_row(self, M):
+        mags = np.abs(oracles.gaussian_rows(M, 1, 9, M)[0]) ** 2
+        assert decay_ratio(M, 0.3, 9) == float(M**0.7 * mags.max() / mags.sum())
+
+    def test_negative_seed_or_stream(self):
+        with pytest.raises(ValueError):
+            sample_batch(4, 1, -1)
+        with pytest.raises(ValueError):
+            sample_batch(4, 1, 0, stream_start=-1)
+
+    def test_peak_memory_is_the_output(self):
+        # no full-size scratch: the peak stays within 25% of the 20.5 MB output
+        tracemalloc.start()
+        try:
+            out = sample_batch(256, 5000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 256 * 5000 * 16
+        assert peak < 1.25 * out.nbytes
 
 
 class TestLogDensity:
