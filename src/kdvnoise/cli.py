@@ -81,6 +81,8 @@ def cmd_sample(cfg, h, out):
 
 def _evolve_input(cfg):
     if cfg["input"]:
+        if cfg["N"] or cfg["count"]:
+            raise ConfigError("evolve takes either input= or N= and count=, not both")
         return load_ensemble(cfg["input"])
     if cfg["N"] < 1 or cfg["count"] < 1:
         raise ConfigError("evolve needs either input= or N= and count=")

@@ -6,11 +6,14 @@ n = -N..-1, 1..N (no zero mode), the tau grid is uniform with step dtau over
 [-tau_max, tau_max], and all tau integrals are Riemann sums on that grid.
 Products whose output tau falls outside the window are dropped; this boundary
 loss is part of the discrete contract and applies identically on the dense
-and sparse evaluation routes.
+and sparse evaluation routes. The two routes share only the lattice map (row
+order, grid length, default lattice, modulation bracket), one helper each;
+their arithmetic stays separate, so each is an oracle for the other.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -45,21 +48,20 @@ __all__ = [
 
 # ---------------------------------------------------------------- resonance
 
-def resonance_residual(n1, n2):
-    """(n1+n2)^3 - n1^3 - n2^3 - 3(n1+n2)n1n2, exactly, in integers."""
-    n1, n2 = int(n1), int(n2)
+def _residual(n1, n2):
     n = n1 + n2
     return n**3 - n1**3 - n2**3 - 3 * n * n1 * n2
+
+
+def resonance_residual(n1, n2):
+    """(n1+n2)^3 - n1^3 - n2^3 - 3(n1+n2)n1n2, exactly, in integers."""
+    return _residual(int(n1), int(n2))
 
 
 def resonance_residual_max(bound):
     """Max |residual| over the full integer square |n1|,|n2| <= bound."""
     k = np.arange(-bound, bound + 1, dtype=np.int64)
-    n1 = k[:, None]
-    n2 = k[None, :]
-    n = n1 + n2
-    res = n**3 - n1**3 - n2**3 - 3 * n * n1 * n2
-    return int(np.abs(res).max())
+    return int(np.abs(_residual(k[:, None], k[None, :])).max())
 
 
 def modulation_max_holds(n1, n2, tau1, tau2):
@@ -72,9 +74,7 @@ def modulation_max_holds(n1, n2, tau1, tau2):
         raise ValueError("all three modes must be nonzero")
     n = n1 + n2
     tau = tau1 + tau2
-    biggest = max(
-        bracket(tau - n**3), bracket(tau1 - n1**3), bracket(tau2 - n2**3)
-    )
+    biggest = max(_modulation(n, tau), _modulation(n1, tau1), _modulation(n2, tau2))
     return bool(biggest >= bracket(3 * n * n1 * n2) / 3.0)
 
 
@@ -123,6 +123,22 @@ def _weight_candidates(n, d, r):
     return np.sort(cands.reshape(n.size, 25).astype(np.int64), axis=1)
 
 
+def _weight_hits(n, tau, params):
+    """Candidates k and the mask of the distinct nonzero k in the resonance window.
+
+    One row per flat point; the caller keeps only |n| >= C and needs c0 > 0.
+    """
+    d = tau - n.astype(float) ** 3
+    r = params.c0 * bracket(n) ** 0.01
+    k = _weight_candidates(n, d, r)
+    first = np.concatenate(
+        [np.ones((k.shape[0], 1), dtype=bool), k[:, 1:] != k[:, :-1]], axis=1
+    )
+    kf = k.astype(float)
+    value = 3.0 * n[:, None] * kf * (n[:, None] - kf)
+    return k, (k != 0) & first & (np.abs(d[:, None] + value) <= r[:, None])
+
+
 def _weight_eval(n, tau, params):
     """Vectorized weight on flat int/float arrays; solves the quadratic."""
     n = np.asarray(n, dtype=np.int64)
@@ -132,16 +148,7 @@ def _weight_eval(n, tau, params):
     if params.c0 == 0 or not live.any():
         return out
     nl = n[live]
-    tl = tau[live]
-    d = tl - nl.astype(float) ** 3
-    r = params.c0 * bracket(nl) ** 0.01
-    k = _weight_candidates(nl, d, r)
-    first = np.concatenate(
-        [np.ones((k.shape[0], 1), dtype=bool), k[:, 1:] != k[:, :-1]], axis=1
-    )
-    kf = k.astype(float)
-    value = 3.0 * nl[:, None] * kf * (nl[:, None] - kf)
-    hit = (k != 0) & first & (np.abs(d[:, None] + value) <= r[:, None])
+    k, hit = _weight_hits(nl, tau[live], params)
     gain = np.minimum(bracket(k), bracket(nl[:, None] - k)) ** params.delta
     out[live] = 1.0 + np.sum(np.where(hit, gain, 0.0), axis=1)
     return out
@@ -161,24 +168,40 @@ def weight_terms(n, tau, params):
     """The contributing (k, gain) pairs behind resonance_weight at one point."""
     if abs(n) < params.C or params.c0 == 0:
         return []
-    d = float(tau) - n**3
-    r = params.c0 * bracket(n) ** 0.01
-    k = _weight_candidates(np.array([n], dtype=np.int64), np.array([d]), np.array([r]))[0]
-    terms = []
-    seen = set()
-    for kk in k.tolist():
-        if kk == 0 or kk in seen:
-            continue
-        seen.add(kk)
-        if abs(d + 3 * n * kk * (n - kk)) <= r:
-            terms.append((kk, min(bracket(kk), bracket(n - kk)) ** params.delta))
-    return sorted(terms)
+    k, hit = _weight_hits(np.array([n], dtype=np.int64), np.array([float(tau)]), params)
+    hits = k[hit].tolist()
+    return [(kk, min(bracket(kk), bracket(n - kk)) ** params.delta) for kk in hits]
 
 
 # --------------------------------------------------------- space-time grids
 
+_DTAU = 0.5  # step of the default lattice; the sweep families and the sparse route use it
+
+
+def _default_tau_max(N):
+    return 4.0 * N**3
+
+
+def _grid_length(tau_max, dtau):
+    """Number of tau columns: dtau must divide tau_max, and L = 2 tau_max/dtau + 1."""
+    half = tau_max / dtau
+    if abs(round(half) - half) > 1e-9:
+        raise ValueError("dtau must divide tau_max")
+    return 2 * round(half) + 1
+
+
 def _signed_modes(N):
     return np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
+
+
+def _row(n, N):
+    """Row of mode n in _signed_modes order; n may be an int or an int array."""
+    return n + N - (n > 0)
+
+
+def _modulation(n, tau):
+    """The modulation bracket <tau - n^3>, broadcast over n and tau."""
+    return bracket(tau - np.asarray(n, dtype=float) ** 3)
 
 
 class SpaceTimeCoeffs:
@@ -196,10 +219,7 @@ class SpaceTimeCoeffs:
             raise ValueError("cutoff must be positive")
         if not (tau_max > 0 and dtau > 0):
             raise ValueError("grid parameters must be positive")
-        half = tau_max / dtau
-        if abs(round(half) - half) > 1e-9:
-            raise ValueError("dtau must divide tau_max")
-        L = 2 * round(half) + 1
+        L = _grid_length(tau_max, dtau)
         arr = np.asarray(values, dtype=np.complex128)
         if arr.shape != (2 * N, L):
             raise ValueError(f"values must have shape {(2 * N, L)}, got {arr.shape}")
@@ -221,7 +241,7 @@ class SpaceTimeCoeffs:
     def row(self, n):
         if n == 0 or abs(n) > self.N:
             raise ValueError(f"mode {n} not on the lattice (cutoff {self.N})")
-        return n + self.N if n < 0 else self.N + n - 1
+        return _row(n, self.N)
 
     def col(self, tau):
         idx = (tau + self.tau_max) / self.dtau
@@ -231,17 +251,14 @@ class SpaceTimeCoeffs:
         return k
 
     @classmethod
-    def zeros(cls, N, tau_max=None, dtau=0.5):
+    def zeros(cls, N, tau_max=None, dtau=_DTAU):
         if tau_max is None:
-            tau_max = 4.0 * N**3
-        half = tau_max / dtau
-        if abs(round(half) - half) > 1e-9:
-            raise ValueError("dtau must divide tau_max")
-        L = 2 * round(half) + 1
+            tau_max = _default_tau_max(N)
+        L = _grid_length(tau_max, dtau)
         return cls(N, tau_max, dtau, np.zeros((2 * N, L), dtype=np.complex128))
 
     @classmethod
-    def from_points(cls, N, pts, tau_max=None, dtau=0.5):
+    def from_points(cls, N, pts, tau_max=None, dtau=_DTAU):
         out = cls.zeros(N, tau_max=tau_max, dtau=dtau)
         for (n, tau), v in pts.items():
             out.values[out.row(n), out.col(tau)] += v
@@ -269,19 +286,20 @@ def _sup_block_lp(row_stats, p):
 
 
 def _xsb_weights(f, s, b):
-    modes = _signed_modes(f.N).astype(float)
-    return (
-        bracket(modes[:, None]) ** s
-        * bracket(f.tau_grid[None, :] - modes[:, None] ** 3) ** b
-    )
+    modes = _signed_modes(f.N)[:, None]
+    return bracket(modes.astype(float)) ** s * _modulation(modes, f.tau_grid) ** b
+
+
+def _in_block_lp(A, dtau, p):
+    """sup over blocks of the in-block L^p (in n and tau) of a table A >= 0."""
+    if math.isinf(p):
+        return _sup_block_lp(A.max(axis=1), p)
+    return _sup_block_lp(np.sum(A**p, axis=1) * dtau, p)
 
 
 def bourgain_norm(f, s, b, p):
     """sup over blocks of the in-block L^p (in n and tau) of <n>^s<tau-n^3>^b f."""
-    A = _xsb_weights(f, s, b) * np.abs(f.values)
-    if math.isinf(p):
-        return _sup_block_lp(A.max(axis=1), p)
-    return _sup_block_lp(np.sum(A**p, axis=1) * f.dtau, p)
+    return _in_block_lp(_xsb_weights(f, s, b) * np.abs(f.values), f.dtau, p)
 
 
 def bourgain_l1tau_norm(f, s, b, p):
@@ -291,29 +309,20 @@ def bourgain_l1tau_norm(f, s, b, p):
 
 
 def _weight_matrix(f, params):
-    modes = _signed_modes(f.N)
-    nn = np.repeat(modes, f.L)
-    tt = np.tile(f.tau_grid, 2 * f.N)
-    return _weight_eval(nn, tt, params).reshape(2 * f.N, f.L)
+    nn, tt = np.broadcast_arrays(_signed_modes(f.N)[:, None], f.tau_grid)
+    return _weight_eval(nn, tt, params)
 
 
 def weighted_bourgain_norm(f, s, b, p, params):
     """Weighted norm: X-part of w*f at (s, b) plus the L^1-in-tau part at b-1/2."""
-    W = _weight_matrix(f, params)
-    A = _xsb_weights(f, s, b) * W * np.abs(f.values)
-    if math.isinf(p):
-        x_part = _sup_block_lp(A.max(axis=1), p)
-    else:
-        x_part = _sup_block_lp(np.sum(A**p, axis=1) * f.dtau, p)
-    return x_part + bourgain_l1tau_norm(f, s, b - 0.5, p)
+    A = _xsb_weights(f, s, b) * _weight_matrix(f, params) * np.abs(f.values)
+    return _in_block_lp(A, f.dtau, p) + bourgain_l1tau_norm(f, s, b - 0.5, p)
 
 
 # ------------------------------------------------------------ bilinear form
 
 def _input_denominators(f, params, weighted):
-    den = bracket(
-        f.tau_grid[None, :] - _signed_modes(f.N).astype(float)[:, None] ** 3
-    ) ** 0.5
+    den = _modulation(_signed_modes(f.N)[:, None], f.tau_grid) ** 0.5
     if weighted:
         den = den * _weight_matrix(f, params)
     return den
@@ -336,35 +345,27 @@ def bilinear_form(f, g, s, params, weighted=True):
     Fh = np.fft.fft(F, nfft, axis=1)
     Gh = np.fft.fft(G, nfft, axis=1)
     modes = _signed_modes(N)
-    row_of = {int(m): i for i, m in enumerate(modes)}
-    K = round(f.tau_max / dtau)
-    out = np.zeros((2 * N, L), dtype=np.complex128)
+    K = L // 2
+    out = np.empty((2 * N, L), dtype=np.complex128)
     sb = bracket(modes.astype(float)) ** s
     for i, n in enumerate(modes):
+        # a row with no pair keeps a zero accumulator, whose transform is zero
         acc = np.zeros(nfft, dtype=np.complex128)
         pref_n = abs(int(n)) * sb[i]
-        touched = False
         for j, n1 in enumerate(modes):
             n2 = int(n) - int(n1)
             if n2 == 0 or abs(n2) > N:
                 continue
-            jj = row_of[n2]
+            jj = _row(n2, N)
             acc += (pref_n / (sb[j] * sb[jj])) * (Fh[j] * Gh[jj])
-            touched = True
-        if not touched:
-            continue
-        conv = np.fft.ifft(acc)[K : K + L]
-        out[i] = conv * dtau
-    outer = bracket(
-        f.tau_grid[None, :] - modes.astype(float)[:, None] ** 3
-    ) ** -0.5
+        out[i] = np.fft.ifft(acc)[K : K + L] * dtau
+    outer = _modulation(modes[:, None], f.tau_grid) ** -0.5
     return SpaceTimeCoeffs(N, f.tau_max, dtau, out * outer)
 
 
 # -------------------------------------------------------------- ratio sweep
 
 _FAMILIES = ("out_curve_lo", "out_curve_hi", "free_curve", "random")
-_SWEEP_DT = 0.5  # families and the sparse route live on the default grid
 
 
 def sweep_trial_rng(seed, N, trial):
@@ -372,7 +373,7 @@ def sweep_trial_rng(seed, N, trial):
 
 
 def _block_amp(n, p):
-    return 2.0 ** (-_block_index(n) / p) * _SWEEP_DT ** (-1.0 / p)
+    return 2.0 ** (-_block_index(n) / p) * _DTAU ** (-1.0 / p)
 
 
 def family_points(family, N, p, rng):
@@ -382,10 +383,10 @@ def family_points(family, N, p, rng):
     pair concentrates products onto the output curve at a low/high mode;
     random mixes curve-adjacent, resonance-translated, and uniform points.
     """
-    tau_max = 4.0 * N**3
+    tau_max = _default_tau_max(N)
 
     def snap(t):
-        return min(tau_max, max(-tau_max, round(t / _SWEEP_DT) * _SWEEP_DT))
+        return min(tau_max, max(-tau_max, round(t / _DTAU) * _DTAU))
 
     def free_curve():
         return {(int(n), float(n**3)): _block_amp(n, p) for n in _signed_modes(N)}
@@ -412,7 +413,7 @@ def family_points(family, N, p, rng):
                     n = int(rng.integers(-N, N + 1))
                 kind = rng.integers(0, 3)
                 if kind == 0:
-                    t = n**3 + int(rng.integers(-6, 7)) * _SWEEP_DT
+                    t = n**3 + int(rng.integers(-6, 7)) * _DTAU
                 elif kind == 1:
                     k0 = 0
                     while k0 in (0, n):
@@ -438,18 +439,18 @@ def _pts_arrays(pts):
 
 def _sparse_block_sup(ns, vals, N, p):
     """sup over blocks of the l^p, with the dtau measure, of values at modes ns."""
-    per_mode = np.bincount(np.abs(ns), weights=vals**p * _SWEEP_DT, minlength=N + 1)
-    return float(_block_reduce(per_mode[1:], p).max())
+    per_row = np.bincount(_row(ns, N), weights=vals**p * _DTAU, minlength=2 * N)
+    return _sup_block_lp(per_row, p)
 
 
 def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
     n1, t1, v1 = _pts_arrays(fpts)
     n2, t2, v2 = _pts_arrays(gpts)
-    tau_max = 4.0 * N**3
+    tau_max = _default_tau_max(N)
     w1 = resonance_weight(n1, t1, params) if weighted else np.ones(n1.size)
     w2 = resonance_weight(n2, t2, params) if weighted else np.ones(n2.size)
-    a1 = v1 / (w1 * bracket(t1 - n1.astype(float) ** 3) ** 0.5)
-    a2 = v2 / (w2 * bracket(t2 - n2.astype(float) ** 3) ** 0.5)
+    a1 = v1 / (w1 * _modulation(n1, t1) ** 0.5)
+    a2 = v2 / (w2 * _modulation(n2, t2) ** 0.5)
 
     # all cross pairs
     n_out = n1[:, None] + n2[None, :]
@@ -468,19 +469,19 @@ def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
         return 0.0
 
     # aggregate coincident output points before any norm is taken
-    Lcols = 2 * round(tau_max / _SWEEP_DT) + 1
-    rows = np.where(n_out < 0, n_out + N, N + n_out - 1).astype(np.int64)
-    cols = np.rint((t_out + tau_max) / _SWEEP_DT).astype(np.int64)
+    Lcols = _grid_length(tau_max, _DTAU)
+    rows = _row(n_out, N)
+    cols = np.rint((t_out + tau_max) / _DTAU).astype(np.int64)
     key = rows * Lcols + cols
     uniq, inv = np.unique(key, return_inverse=True)
     agg = np.zeros(uniq.size, dtype=np.complex128)
     np.add.at(agg, inv, prod)
-    agg *= _SWEEP_DT  # tau-convolution measure
+    agg *= _DTAU  # tau-convolution measure
     u_rows = uniq // Lcols
     u_cols = uniq % Lcols
-    u_n = np.where(u_rows < N, u_rows - N, u_rows - N + 1)
-    u_t = -tau_max + u_cols * _SWEEP_DT
-    mod = bracket(u_t - u_n.astype(float) ** 3)
+    u_n = _signed_modes(N)[u_rows]
+    u_t = -tau_max + u_cols * _DTAU
+    mod = _modulation(u_n, u_t)
 
     # weighted norm of the composition without its outer factor: X-part uses
     # w(n,tau)<tau-n^3>^{-1/2}, the companion part uses <tau-n^3>^{-1} with L^1
@@ -489,7 +490,7 @@ def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
     y_vals = np.abs(agg) * mod**-1.0
     x_part = _sparse_block_sup(u_n, x_vals, N, p)
     # inner L^1 over tau per signed mode, then l^p across the block
-    per_row = np.bincount(u_rows, weights=y_vals * _SWEEP_DT, minlength=2 * N)
+    per_row = np.bincount(u_rows, weights=y_vals * _DTAU, minlength=2 * N)
     y_part = _sup_block_lp(per_row**p, p)
     num = x_part + y_part
     den = _sparse_block_sup(n1, np.abs(v1), N, p) * _sparse_block_sup(n2, np.abs(v2), N, p)
@@ -649,24 +650,17 @@ def _smoothstep(x):
 
 def bump(t):
     """Smooth even cutoff: 1 on |t| <= 1/2, 0 outside |t| < 1."""
-    at = np.abs(np.asarray(t, dtype=float))
-    val = _smoothstep(2.0 * (1.0 - at))
-    out = np.where(at <= 0.5, 1.0, np.where(at >= 1.0, 0.0, val))
+    out = _smoothstep(2.0 * (1.0 - np.abs(np.asarray(t, dtype=float))))
     return float(out) if np.isscalar(t) else out
 
 
-_bump_cache = None
-
-
+@functools.cache
 def _bump_quadrature():
-    global _bump_cache
-    if _bump_cache is None:
-        t = np.linspace(0.0, 1.0, _BUMP_NODES)
-        w = np.full(_BUMP_NODES, t[1] - t[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        _bump_cache = (t, bump(t) * w)
-    return _bump_cache
+    t = np.linspace(0.0, 1.0, _BUMP_NODES)
+    w = np.full(_BUMP_NODES, t[1] - t[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return t, bump(t) * w
 
 
 def bump_transform(xi):

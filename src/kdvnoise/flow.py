@@ -10,9 +10,7 @@ quadratic term carries phases e^{i 3 n n1 n2 t} with |3 n n1 n2| up to
 number dt * 3N^3/4 is of order 1 or below. That, not the advective bound
 2.8 / (N * max|u|), is the binding limit: for white noise at N=64 the
 advective bound is ~8.7e-4, yet the steps 5e-4 and 2.5e-4 (resonance
-numbers 98 and 49) blow up near t=0.12 and t=0.33. probe_dt starts its
-search at the advective bound and halves the step until the drift target
-holds.
+numbers 98 and 49) blow up near t=0.12 and t=0.33.
 """
 from __future__ import annotations
 
@@ -34,7 +32,6 @@ __all__ = [
     "evolve_checkpoints",
     "liouville_logdet",
     "nonlinear_term",
-    "probe_dt",
     "step",
 ]
 
@@ -296,15 +293,6 @@ def conservation_report(traj):
     }
 
 
-def _real_coords(coeffs):
-    return np.concatenate([coeffs.real, coeffs.imag])
-
-
-def _from_real(x):
-    N = x.size // 2
-    return x[:N] + 1j * x[N:]
-
-
 def liouville_logdet(f, cfg, linear_only=False):
     """log|det| of the time-T flow map Jacobian in real coordinates.
 
@@ -318,19 +306,15 @@ def liouville_logdet(f, cfg, linear_only=False):
     if cfg.steps == 0:
         return 0.0
     eps = cfg.fd_eps
-    x0 = _real_coords(f.coeffs)
     dim = 2 * N
-    probes = np.repeat(x0[None, :], 2 * dim, axis=0)
-    for i in range(dim):
-        probes[2 * i, i] += eps
-        probes[2 * i + 1, i] -= eps
-    rows = np.stack([_from_real(x) for x in probes])
+    # real coordinates (Re c, Im c); probes 2i and 2i+1 move coordinate i by +eps and -eps
+    shift = eps * np.eye(dim)
+    x = np.concatenate([f.coeffs.real, f.coeffs.imag])
+    x = x + np.stack([shift, -shift], axis=1).reshape(2 * dim, dim)
+    rows = x[:, :N] + 1j * x[:, N:]
     finals = rows * _airy_phase(N, cfg.T) if linear_only else evolve_batch(rows, cfg)
-    jac = np.empty((dim, dim))
-    for i in range(dim):
-        plus = _real_coords(finals[2 * i])
-        minus = _real_coords(finals[2 * i + 1])
-        jac[:, i] = (plus - minus) / (2.0 * eps)
+    x = np.concatenate([finals.real, finals.imag], axis=1)
+    jac = ((x[0::2] - x[1::2]) / (2.0 * eps)).T
     sign, logdet = np.linalg.slogdet(jac)
     if sign <= 0 or not np.isfinite(logdet):
         cond = np.linalg.cond(jac)
@@ -339,33 +323,3 @@ def liouville_logdet(f, cfg, linear_only=False):
             f"fd_eps={eps:g} is likely outside the usable window"
         )
     return float(logdet)
-
-
-def probe_dt(f, target=1e-8):
-    """Largest dyadic step 2^-k whose per-unit-time l2 drift is within target.
-
-    The search starts just below the advective bound 2.8 / (N max|u|) and
-    halves the step until a 256-step run neither blows up nor drifts more
-    than target/2 per unit time; in practice that lands near the step
-    resonance number dt * 3N^3/4 ~ 0.1 (2^-21 for white noise at N=64).
-    Returns a power of two so the result divides any dyadic horizon. Raises
-    IntegratorBlowupError only if no step above 2^-30 passes.
-    """
-    from .spectral import grid_values
-
-    umax = float(np.abs(grid_values(f, _dealias_length(f.N))).max())
-    stable = 2.8 / (f.N * max(umax, 1e-12))
-    k = max(2, int(np.ceil(-np.log2(stable))) + 1)
-    while k <= 30:
-        dt = 2.0**-k
-        horizon = dt * 256
-        try:
-            traj = evolve(f, FlowConfig(dt=dt, T=horizon))
-        except IntegratorBlowupError:
-            k += 1
-            continue
-        drift = conservation_report(traj)["l2_drift_rel"] / horizon
-        if drift <= 0.5 * target:
-            return dt
-        k += 1
-    raise IntegratorBlowupError("no step above 2^-30 met the drift target")

@@ -69,17 +69,20 @@ def save_ensemble(ensemble, path):
         fh.write(payload)
 
 
-def _read_header(raw):
-    if len(raw) < len(_MAGIC) + 4:
-        raise SnapshotError("file too short to be a snapshot")
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise SnapshotError("bad magic bytes; not a snapshot file")
-    (hlen,) = struct.unpack_from("<I", raw, len(_MAGIC))
+def _read_header(fh):
+    """Read and check the header of an open snapshot; fh is left at the payload."""
     start = len(_MAGIC) + 4
-    if len(raw) < start + hlen:
+    prefix = fh.read(start)
+    if len(prefix) < start:
+        raise SnapshotError("file too short to be a snapshot")
+    if prefix[: len(_MAGIC)] != _MAGIC:
+        raise SnapshotError("bad magic bytes; not a snapshot file")
+    (hlen,) = struct.unpack_from("<I", prefix, len(_MAGIC))
+    # checked against the file size first, so a corrupt length allocates nothing
+    if os.fstat(fh.fileno()).st_size < start + hlen:
         raise SnapshotError("truncated header")
     try:
-        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -96,21 +99,19 @@ def _read_header(raw):
         raise SnapshotError("header lacks the payload checksum")
     if type(header.get("time")) not in (int, float) or "provenance" not in header:
         raise SnapshotError("header lacks a numeric time or the provenance")
-    return header, raw[start + hlen :]
+    return header
 
 
 def peek_header(path):
-    """Header dict only; payload integrity is not checked here."""
+    """Header dict only; the payload is neither read nor checked."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    header, _ = _read_header(raw)
-    return header
+        return _read_header(fh)
 
 
 def load_ensemble(path):
     with open(path, "rb") as fh:
-        raw = fh.read()
-    header, payload = _read_header(raw)
+        header = _read_header(fh)
+        payload = fh.read()
     N, count = header["N"], header["count"]
     expected = N * count * _ITEM.itemsize
     if len(payload) != expected:

@@ -1,4 +1,5 @@
 """End-to-end command-line and persistence contract tests."""
+import io
 import json
 import os
 
@@ -56,6 +57,30 @@ class TestSnapshots:
         assert h["format_version"] == 1
         assert h["N"] == 4 and h["count"] == 2
         assert "provenance" in h and "payload_sha256" in h
+
+    def test_peek_reads_header_only(self, tmp_path, monkeypatch):
+        p = tmp_path / "e.snap"
+        save_ensemble(generate(16, 64, seed=2), p)
+        p.write_bytes(p.read_bytes()[:-100])
+        with pytest.raises(SnapshotError, match="truncated payload"):
+            load_ensemble(p)
+        blob_len = int.from_bytes(p.read_bytes()[8:12], "little")
+        got = []
+
+        class CountingReader(io.BufferedReader):
+            def read(self, size=-1):
+                data = super().read(size)
+                got.append(len(data))
+                return data
+
+        monkeypatch.setattr(
+            "kdvnoise.snapshots.open",
+            lambda path, mode: CountingReader(io.FileIO(path, mode)),
+            raising=False,
+        )
+        h = peek_header(p)
+        assert h["N"] == 16 and h["count"] == 64
+        assert sum(got) == 8 + 4 + blob_len
 
     def test_corrupted_payload_rejected(self, tmp_path):
         e = generate(8, 4, seed=5)
@@ -378,6 +403,18 @@ class TestCmdEvolve:
         cfg = write_ini(tmp_path / "c.ini", "evolve", input=str(bad), dt=1e-3, T=0.01)
         rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    @pytest.mark.parametrize("keys", [{"N": 8}, {"count": 2}, {"N": 8, "count": 2}])
+    def test_input_with_n_or_count_exit_2(self, tmp_path, capsys, keys):
+        snap = tmp_path / "in.snap"
+        save_ensemble(generate(4, 2, seed=1), snap)
+        cfg = write_ini(tmp_path / "c.ini", "evolve", input=str(snap), dt=1e-3, T=0.01, **keys)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["code"] == "config"
+        assert not (out / "ensemble_final.snap").exists()
 
 
 class TestCmdInvariance:

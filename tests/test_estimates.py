@@ -1,4 +1,7 @@
 """Dispersive-estimate oracles: weights, space-time norms, bilinear form, lemmas."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,23 @@ class TestWeight:
         vec = resonance_weight(ns, taus, params)
         for i in range(50):
             assert vec[i] == resonance_weight(int(ns[i]), float(taus[i]), params)
+
+    @pytest.mark.parametrize("params", [WeightParams(), WeightParams(C=2, c0=6.0, delta=0.4)])
+    def test_terms_add_up_to_weight(self, params):
+        rng = np.random.default_rng(66)
+        resonant = 0
+        for i in range(400):
+            n = int(rng.integers(10, 150)) * int(rng.choice([-1, 1]))
+            if i % 2:
+                k = int(rng.integers(-60, 61))
+                tau = float(n**3 - 3 * n * (n - k) * k + rng.uniform(-1, 1))
+            else:
+                tau = float(rng.uniform(-4e6, 4e6))
+            terms = weight_terms(n, tau, params)
+            resonant += bool(terms)
+            expect = 1.0 + sum(gain for _, gain in terms)
+            assert resonance_weight(n, tau, params) == pytest.approx(expect, rel=1e-14)
+        assert resonant >= 150
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -357,6 +377,32 @@ class TestRatioSweep:
         r1 = bilinear_form(f, g, s, params)
         r2 = bilinear_form(f2, g, s, params)
         assert np.allclose(r2.values, 3.7 * r1.values, rtol=1e-12, atol=1e-15)
+
+
+class TestReferenceValues:
+    """Seed-independent sweep families and time-localization ratios, pinned to
+    the values the benchmark checks against (bench/reference.json)."""
+
+    REFERENCE = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
+    )
+    MODES = {"weighted": (WeightParams(), True), "control": (WeightParams(delta=1e-12), False)}
+
+    @pytest.mark.parametrize("N", [8, 16, 32, 64])
+    @pytest.mark.parametrize("mode", ["weighted", "control"])
+    def test_sweep_families(self, mode, N):
+        params, weighted = self.MODES[mode]
+        rows = bilinear_ratio_sweep(-0.49, 2.1, params, [N], 3, seed=0, weighted=weighted)
+        want = self.REFERENCE["sweep"][mode][str(N)]
+        assert sorted(r["family"] for r in rows) == sorted(want)
+        for r in rows:
+            assert r["ratio"] == pytest.approx(want[r["family"]], rel=1e-9)
+
+    def test_time_localization(self):
+        f = SpaceTimeCoeffs.from_points(4, family_points("free_curve", 4, 2.1, None)[0])
+        for k, want in sorted(self.REFERENCE["time_localization"].items()):
+            ratio = time_localization_check(f, 2.0 ** -int(k), -0.49, 2.1)
+            assert ratio == pytest.approx(want, rel=1e-9)
 
 
 class TestBracketProductIntegral:

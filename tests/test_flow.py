@@ -23,7 +23,6 @@ from kdvnoise.flow import (
     evolve_checkpoints,
     liouville_logdet,
     nonlinear_term,
-    probe_dt,
     step,
 )
 from kdvnoise.noise import GaussianSampleSpec, sample
@@ -300,12 +299,3 @@ class TestLiouville:
         f = wn(13, 19)
         with pytest.raises(ValueError):
             liouville_logdet(f, FlowConfig(dt=1e-3, T=0.1))
-
-
-class TestProbeDt:
-    def test_probe_meets_target(self):
-        f = wn(8, 20)
-        dt = probe_dt(f, target=1e-8)
-        assert dt > 0
-        traj = evolve(f, FlowConfig(dt=dt, T=0.25))
-        assert conservation_report(traj)["l2_drift_rel"] < 1e-8
