@@ -20,8 +20,7 @@ from .config import ConfigError, config_hash, load_config
 from .estimates import SpaceTimeCoeffs, WeightParams, bilinear_ratio_sweep, \
     bracket_product_integral, family_points, quadratic_bracket_sum, \
     resonance_residual_max, resonance_set_integral, time_localization_check
-from .flow import FDProbeError, FlowConfig, IntegratorBlowupError, conservation_report, \
-    evolve_checkpoints
+from .flow import FlowConfig, IntegratorBlowupError, conservation_report, evolve_checkpoints
 from .invariance import ObservableSpec, _evolved, generate, invariance_report, push_forward
 from .noise import decay_median_curve, fit_log_tail, tail_sweep
 from .snapshots import SnapshotError, load_ensemble, save_ensemble, write_atomic
@@ -79,18 +78,8 @@ def cmd_sample(cfg, h, out):
     return 0
 
 
-def _evolve_input(cfg):
-    if cfg["input"]:
-        if cfg["N"] or cfg["count"]:
-            raise ConfigError("evolve takes either input= or N= and count=, not both")
-        return load_ensemble(cfg["input"])
-    if cfg["N"] < 1 or cfg["count"] < 1:
-        raise ConfigError("evolve needs either input= or N= and count=")
-    return generate(cfg["N"], cfg["count"], seed=cfg["seed"])
-
-
 def cmd_evolve(cfg, h, out):
-    ens = _evolve_input(cfg)
+    ens = load_ensemble(cfg["input"])
     fc = _flow_config(cfg["dt"], cfg["T"])
     cps = []
     for part in cfg["checkpoints"].split(","):
@@ -109,7 +98,7 @@ def cmd_evolve(cfg, h, out):
     if len(set(names)) < len(names):
         raise ConfigError(f"checkpoints {cps} do not all get distinct file names")
     try:
-        states = evolve_checkpoints(ens.coeffs, fc, cps + [fc.T], workers=cfg["workers"])
+        states = evolve_checkpoints(ens.coeffs, fc, cps + [fc.T])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -138,7 +127,7 @@ def cmd_evolve(cfg, h, out):
 def cmd_invariance(cfg, h, out):
     base = generate(cfg["N"], cfg["count"], seed=cfg["seed"])
     fc = _flow_config(cfg["dt"], cfg["T"])
-    evolved = push_forward(base, fc, workers=cfg["workers"])
+    evolved = push_forward(base, fc)
     report = invariance_report(base, evolved, _headline_observables(), cfg["alpha"])
     report["tool"] = f"kdvnoise {__version__}"
     report["config_hash"] = h
@@ -262,14 +251,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a configuration error (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", default=None, help="INI file with a [subcommand] section")
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override the seed")
-    common.add_argument("--workers", type=int, default=None, help="override worker count")
     common.add_argument("--verbose", action="store_true")
-    parser = argparse.ArgumentParser(prog="kdvnoise")
+    parser = _Parser(prog="kdvnoise")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -279,15 +274,10 @@ def _build_parser():
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    try:
+        overrides = {} if args.seed is None else {"seed": args.seed}
         cfg = load_config(args.subcommand, args.config, overrides, os.environ)
+    except SystemExit as exc:  # -h
+        return exc.code if isinstance(exc.code, int) else 2
     except ConfigError as exc:
         return _fail("config", exc)
     h = config_hash(cfg)
@@ -302,7 +292,7 @@ def main(argv=None):
         return _fail("io", exc)
     except OSError as exc:
         return _fail("io", exc)
-    except (IntegratorBlowupError, FDProbeError, ValueError) as exc:
+    except (IntegratorBlowupError, ValueError) as exc:
         return _fail("runtime", exc)
 
 

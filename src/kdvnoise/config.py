@@ -43,14 +43,10 @@ _SCHEMAS = {
         "seed": ("int", 0, _nonnegative),
     },
     "evolve": {
-        "input": ("str", "", None),
-        "N": ("int", 0, _nonnegative),
-        "count": ("int", 0, _nonnegative),
-        "seed": ("int", 0, _nonnegative),
+        "input": ("str", _REQUIRED, bool),
         "dt": ("float", _REQUIRED, _positive),
         "T": ("float", _REQUIRED, _nonnegative),
         "checkpoints": ("str", "", None),
-        "workers": ("int", 1, _positive),
     },
     "invariance": {
         "N": ("int", _REQUIRED, _positive),
@@ -59,7 +55,6 @@ _SCHEMAS = {
         "dt": ("float", _REQUIRED, _positive),
         "T": ("float", _REQUIRED, _nonnegative),
         "alpha": ("float", 0.01, _unit_open),
-        "workers": ("int", 1, _positive),
     },
     "tails": {
         "N": ("int", _REQUIRED, _positive),

@@ -15,6 +15,7 @@ numbers 98 and 49) blow up near t=0.12 and t=0.33.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
 
 _BLOWUP_LIMIT = 1e8
 _CHUNK_ROWS = 512  # fixed so worker count never changes the arithmetic
+_FD_EPS = 1e-4  # central-difference step of the Liouville probes
 
 
 class IntegratorBlowupError(RuntimeError):
@@ -75,7 +77,6 @@ class FlowConfig:
     dt: float
     T: float
     integrator: str = "IF-RK4"
-    fd_eps: float = 1e-4
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
@@ -84,8 +85,6 @@ class FlowConfig:
             raise ValueError("T must be finite")
         if self.integrator != "IF-RK4":
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not self.fd_eps > 0:
-            raise ValueError("fd_eps must be positive")
         n = round(abs(self.T) / self.dt)
         if abs(n * self.dt - abs(self.T)) > 1e-9 * max(1.0, abs(self.T)):
             raise ValueError(f"T={self.T} is not an integer multiple of dt={self.dt}")
@@ -205,6 +204,9 @@ def _run_batch(rows, dt, nsteps, workers, t0):
         except IntegratorBlowupError as exc:
             return exc
 
+    if workers is None:  # every CPU this process may run on
+        affinity = hasattr(os, "sched_getaffinity")
+        workers = len(os.sched_getaffinity(0)) if affinity else os.cpu_count() or 1
     if workers <= 1 or len(chunks) == 1:
         results = [work(c) for c in chunks]
     else:
@@ -224,14 +226,14 @@ def step(f, dt):
     return FourierField(f.N, out[0])
 
 
-def evolve_checkpoints(coeffs, cfg, times, workers=1):
+def evolve_checkpoints(coeffs, cfg, times, workers=None):
     """Iterator of (t, rows): the member rows of coeffs at each requested time.
 
     Times must be integer multiples of dt between 0 and T inclusive,
     increasing; they are checked before the iterator is returned. States are
     yielded as they are reached, so a checkpointed run does the arithmetic of
     an uninterrupted one, and fixed 512-row chunks keep it independent of the
-    worker count.
+    worker count. workers=None runs on every CPU the process may use.
     """
     times = [float(t) for t in times]
     dt = cfg.dt if cfg.T >= 0 else -cfg.dt
@@ -266,7 +268,7 @@ def evolve(f, cfg, checkpoints=None):
     return [(t, FourierField(f.N, rows[0])) for t, rows in states]
 
 
-def evolve_batch(coeffs, cfg, workers=1):
+def evolve_batch(coeffs, cfg, workers=None):
     """Final coefficients for each member row; row-chunked, worker-invariant."""
     ((_, final),) = evolve_checkpoints(coeffs, cfg, [cfg.T], workers)
     return final
@@ -296,7 +298,7 @@ def conservation_report(traj):
 def liouville_logdet(f, cfg, linear_only=False):
     """log|det| of the time-T flow map Jacobian in real coordinates.
 
-    Central differences with step cfg.fd_eps, all 4N probe trajectories run
+    Central differences with step _FD_EPS, all 4N probe trajectories run
     as one batch. Restricted to N <= 12: the probe count grows linearly but
     the subtraction noise in the determinant grows with dimension.
     """
@@ -305,7 +307,7 @@ def liouville_logdet(f, cfg, linear_only=False):
         raise ValueError(f"cutoff {N} too large for the dense Jacobian probe (max 12)")
     if cfg.steps == 0:
         return 0.0
-    eps = cfg.fd_eps
+    eps = _FD_EPS
     dim = 2 * N
     # real coordinates (Re c, Im c); probes 2i and 2i+1 move coordinate i by +eps and -eps
     shift = eps * np.eye(dim)
@@ -320,6 +322,6 @@ def liouville_logdet(f, cfg, linear_only=False):
         cond = np.linalg.cond(jac)
         raise FDProbeError(
             f"finite-difference Jacobian degenerate (sign={sign}, cond~{cond:.2e}); "
-            f"fd_eps={eps:g} is likely outside the usable window"
+            f"the probe step {eps:g} is likely outside the usable window"
         )
     return float(logdet)

@@ -82,7 +82,7 @@ def _evolved(e, cfg, coeffs, t):
     return Ensemble(N=e.N, coeffs=coeffs, time=e.time + t, provenance=prov)
 
 
-def push_forward(e, cfg, workers=1):
+def push_forward(e, cfg, workers=None):
     """Evolve every member by cfg; provenance is extended, not replaced."""
     return _evolved(e, cfg, evolve_batch(e.coeffs, cfg, workers=workers), cfg.T)
 

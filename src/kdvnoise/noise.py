@@ -251,7 +251,7 @@ def fit_log_tail(rows):
     intercept = yb - slope * xb
     resid = y - (intercept + slope * x)
     dof = len(usable) - 2
-    s2 = np.sum(w * resid**2) / dof if dof > 0 else np.nan
+    s2 = np.sum(w * resid**2) / dof
     slope_se = math.sqrt(s2 / sxx)
     return {
         "slope": float(slope),

@@ -121,7 +121,7 @@ def load_ensemble(path):
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
         raise SnapshotError("payload checksum mismatch")
-    coeffs = np.frombuffer(payload, dtype=_ITEM).reshape(count, N).copy()
+    coeffs = np.frombuffer(payload, dtype=_ITEM).reshape(count, N)
     return Ensemble(
         N=N,
         coeffs=coeffs.astype(np.complex128),

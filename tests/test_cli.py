@@ -9,7 +9,7 @@ import pytest
 from kdvnoise import __version__
 from kdvnoise import cli
 from kdvnoise.cli import main
-from kdvnoise.config import ConfigError, config_hash, load_config
+from kdvnoise.config import _SCHEMAS, ConfigError, config_hash, load_config
 from kdvnoise.invariance import generate
 from kdvnoise.snapshots import SnapshotError, load_ensemble, peek_header, save_ensemble, \
     write_atomic
@@ -24,6 +24,19 @@ def write_ini(path, section, **kv):
 def read_err(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return json.loads(err[-1])
+
+
+def assert_one_config_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["code"] == "config"
+
+
+def write_input(tmp_path, N, count, seed):
+    """An evolve input: the ensemble `kdvnoise sample` writes for N, count, seed."""
+    path = tmp_path / f"in_{N}_{count}_{seed}.snap"
+    save_ensemble(generate(N, count, seed=seed), path)
+    return str(path)
 
 
 class TestSnapshots:
@@ -244,6 +257,36 @@ class TestConfig:
         assert config_hash(c1) != config_hash(c3)
 
 
+class RecordingConfig(dict):
+    """A resolved configuration that remembers which keys were read."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestEveryKeyRead:
+    # a key no run reads changes no output, so it should not exist
+    @pytest.mark.parametrize("sub,keys", [
+        ("sample", dict(N=4, count=2)),
+        ("evolve", dict(dt=1e-3, T=0.01, checkpoints="0.005")),
+        ("invariance", dict(N=4, count=2, dt=1e-3, T=0.01)),
+        ("tails", dict(N=8, samples=400, s=-0.49, p=2.1, k_min=1.0, k_max=2.0, k_step=0.25)),
+        ("lemmas", dict(resonance_bound=10, psum_cutoff=100, decay_m_max=4, decay_seeds=2)),
+        ("estimates", dict(s=-0.49, p=2.1, n_list="8", trials=1, time_loc="false")),
+    ])
+    def test_every_schema_key_read(self, tmp_path, sub, keys):
+        if sub == "evolve":
+            keys = dict(keys, input=write_input(tmp_path, 4, 2, 1))
+        cfg = RecordingConfig(load_config(sub, write_ini(tmp_path / "c.ini", sub, **keys), {}, {}))
+        assert cli._COMMANDS[sub](cfg, "0" * 12, str(tmp_path)) == 0
+        assert cfg.read == set(_SCHEMAS[sub])
+
+
 class TestCmdSample:
     def test_basic_and_empty(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "sample", N=8, count=3, seed=7)
@@ -288,14 +331,16 @@ class TestCmdSample:
         rc = main(["sample", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
         assert rc == 2
 
+    # evolve has no seed (its ensemble comes from input=); the ids keep their
+    # numbers from when it had one
     @pytest.mark.parametrize("sub,keys", [
         ("sample", dict(N=4, count=1)),
-        ("evolve", dict(N=4, count=1, dt=1e-3, T=0.01)),
         ("invariance", dict(N=4, count=2, dt=1e-3, T=0.0)),
         ("tails", dict(N=4, samples=10, s=-0.49, p=2.1, k_min=1.0, k_max=2.0, k_step=0.5)),
         ("lemmas", dict(resonance_bound=10, psum_cutoff=100, decay_m_max=4, decay_seeds=2)),
         ("estimates", dict(s=-0.49, p=2.1, n_list="8", trials=1, time_loc="false")),
-    ])
+    ], ids=["sample-keys0", "invariance-keys2", "tails-keys3", "lemmas-keys4",
+            "estimates-keys5"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, sub, keys):
         cfg = write_ini(tmp_path / "c.ini", sub, seed=-1, **keys)
         assert main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -317,7 +362,7 @@ class TestCmdSample:
 class TestCmdEvolve:
     def test_outputs_and_conservation(self, tmp_path, capsys):
         cfg = write_ini(
-            tmp_path / "c.ini", "evolve", N=8, count=2, seed=5, dt=1e-3, T=0.05
+            tmp_path / "c.ini", "evolve", input=write_input(tmp_path, 8, 2, 5), dt=1e-3, T=0.05
         )
         out = tmp_path / "o"
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
@@ -330,7 +375,7 @@ class TestCmdEvolve:
     def test_checkpoint_resume_matches_continuous(self, tmp_path, capsys):
         cfg = write_ini(
             tmp_path / "full.ini", "evolve",
-            N=8, count=2, seed=5, dt=1e-3, T=0.1, checkpoints="0.05",
+            input=write_input(tmp_path, 8, 2, 5), dt=1e-3, T=0.1, checkpoints="0.05",
         )
         out = tmp_path / "full"
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
@@ -350,7 +395,7 @@ class TestCmdEvolve:
 
     def test_blowup_exit_4(self, tmp_path, capsys):
         cfg = write_ini(
-            tmp_path / "c.ini", "evolve", N=64, count=1, seed=6, dt=1e-3, T=1.0
+            tmp_path / "c.ini", "evolve", input=write_input(tmp_path, 64, 1, 6), dt=1e-3, T=1.0
         )
         rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 4
@@ -362,7 +407,7 @@ class TestCmdEvolve:
         for name, cps in (("plain", ""), ("cp", "0.1,0.2")):
             cfg = write_ini(
                 tmp_path / f"{name}.ini", "evolve",
-                N=8, count=3, seed=5, dt=0.01, T=0.3, checkpoints=cps,
+                input=write_input(tmp_path, 8, 3, 5), dt=0.01, T=0.3, checkpoints=cps,
             )
             assert main(["evolve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
             finals.append((tmp_path / name / "ensemble_final.snap").read_bytes())
@@ -376,7 +421,8 @@ class TestCmdEvolve:
         for name, cps in (("plain", ""), ("cp", "0.04")):
             cfg = write_ini(
                 tmp_path / f"{name}.ini", "evolve",
-                N=64, count=1, seed=20260821, dt=1e-3, T=0.1, checkpoints=cps,
+                input=write_input(tmp_path, 64, 1, 20260821), dt=1e-3, T=0.1,
+                checkpoints=cps,
             )
             assert main(["evolve", "--config", cfg, "--out", str(tmp_path / name)]) == 4
             messages.append(read_err(capsys)["error"]["message"])
@@ -397,6 +443,11 @@ class TestCmdEvolve:
         assert read_err(capsys)["error"]["code"] == "config"
         assert not list(out.iterdir())
 
+    def test_empty_input_exit_2(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", "evolve", input="", dt=1e-3, T=0.01)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert read_err(capsys)["error"]["code"] == "config"
+
     def test_corrupt_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.snap"
         bad.write_bytes(b"garbage")
@@ -404,7 +455,9 @@ class TestCmdEvolve:
         rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
 
-    @pytest.mark.parametrize("keys", [{"N": 8}, {"count": 2}, {"N": 8, "count": 2}])
+    @pytest.mark.parametrize("keys", [
+        {"N": 8}, {"count": 2}, {"N": 8, "count": 2}, {"seed": 7}, {"workers": 2},
+    ])
     def test_input_with_n_or_count_exit_2(self, tmp_path, capsys, keys):
         snap = tmp_path / "in.snap"
         save_ensemble(generate(4, 2, seed=1), snap)
@@ -539,9 +592,30 @@ class TestCmdEstimates:
 class TestCliGeneral:
     def test_unknown_subcommand(self, tmp_path, capsys):
         assert main(["frobnicate"]) == 2
+        assert_one_config_error(capsys)
 
     def test_no_args(self, capsys):
         assert main([]) == 2
+        assert_one_config_error(capsys)
+
+    @pytest.mark.parametrize("extra", [
+        ["--seed", "x"], ["--workers", "2"], ["--bogus"],
+    ], ids=["bad-seed", "workers", "unknown-flag"])
+    def test_malformed_flags_exit_2(self, tmp_path, capsys, extra):
+        cfg = write_ini(tmp_path / "c.ini", "invariance", N=4, count=2, dt=1e-3, T=0.0)
+        out = tmp_path / "o"
+        assert main(["invariance", "--config", cfg, "--out", str(out)] + extra) == 2
+        assert_one_config_error(capsys)
+        assert not out.exists()
+
+    def test_missing_out_exit_2(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", "sample", N=4, count=1)
+        assert main(["sample", "--config", cfg]) == 2
+        assert_one_config_error(capsys)
+
+    def test_help_exit_0(self, capsys):
+        assert main(["sample", "-h"]) == 0
+        assert "--out" in capsys.readouterr().out
 
     def test_verbose_flag_accepted(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "sample", N=4, count=1, seed=1)

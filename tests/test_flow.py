@@ -213,6 +213,12 @@ class TestEvolve:
         states = list(evolve_checkpoints(coeffs, cfg, [0.005, 0.01, 0.02], workers=2))
         assert np.array_equal(states[-1][1], runs[0])
 
+    def test_default_workers_bit_exact(self):
+        # three chunks; the default runs them on every CPU the process may use
+        coeffs = np.stack([wn(8, 15, k).coeffs for k in range(1100)])
+        cfg = FlowConfig(dt=1e-3, T=0.01)
+        assert np.array_equal(evolve_batch(coeffs, cfg), evolve_batch(coeffs, cfg, workers=1))
+
     def test_batch_worker_independence(self):
         coeffs = np.stack([wn(8, 11, k).coeffs for k in range(7)])
         cfg = FlowConfig(dt=1e-3, T=0.05)
@@ -292,7 +298,7 @@ class TestLiouville:
 
     def test_full_flow_small_logdet(self):
         f = wn(8, 18)
-        cfg = FlowConfig(dt=5e-4, T=0.5, fd_eps=1e-5)
+        cfg = FlowConfig(dt=5e-4, T=0.5)
         assert abs(liouville_logdet(f, cfg)) < 1e-5
 
     def test_large_N_rejected(self):
