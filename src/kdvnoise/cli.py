@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: sample, evolve, invariance, tails, lemmas, estimates. Every
-run resolves a layered configuration, stamps its short hash into all
-outputs, and reports failures as a single-line JSON object on stderr with
-exit codes: 0 ok, 2 configuration, 3 I/O, 4 runtime.
+run resolves its configuration from the --config file, stamps its short
+hash into all outputs, and reports failures as a single-line JSON object on
+stderr with exit codes: 0 ok, 2 configuration, 3 I/O, 4 runtime.
 """
 from __future__ import annotations
 
@@ -27,6 +27,8 @@ from .snapshots import SnapshotError, load_ensemble, save_ensemble, write_atomic
 from .spectral import FourierField, NormSpec
 
 __all__ = ["main"]
+
+_TIME_LOC_MAX_N = 16  # time localization's table: 2N x (16N^3+1) complex, 34 MB at N=16
 
 
 def _stamp(h):
@@ -81,19 +83,10 @@ def cmd_sample(cfg, h, out):
 def cmd_evolve(cfg, h, out):
     ens = load_ensemble(cfg["input"])
     fc = _flow_config(cfg["dt"], cfg["T"])
-    cps = []
-    for part in cfg["checkpoints"].split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            c = float(part)
-        except ValueError as exc:
-            raise ConfigError(f"bad checkpoint {part!r}") from exc
+    cps = sorted(set(cfg["checkpoints"]))
+    for c in cps:
         if not 0.0 < c < cfg["T"]:
             raise ConfigError(f"checkpoint {c} outside (0, T)")
-        cps.append(c)
-    cps = sorted(set(cps))
     names = [f"checkpoint_{c:g}.snap" for c in cps]
     if len(set(names)) < len(names):
         raise ConfigError(f"checkpoints {cps} do not all get distinct file names")
@@ -208,14 +201,11 @@ def cmd_lemmas(cfg, h, out):
 
 def cmd_estimates(cfg, h, out):
     params = WeightParams(C=cfg["C"], c0=cfg["c0"], delta=cfg["delta"])
-    try:
-        n_list = [int(tok) for tok in cfg["n_list"].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad n_list {cfg['n_list']!r}") from exc
-    if not n_list or any(n < 2 for n in n_list):
-        raise ConfigError(f"bad n_list {cfg['n_list']!r}")
+    N = min(cfg["n_list"])  # time localization runs at the smallest cutoff
+    if cfg["time_loc"] and N > _TIME_LOC_MAX_N:
+        raise ConfigError(f"time localization needs min(n_list) <= {_TIME_LOC_MAX_N}, got {N}")
     rows = bilinear_ratio_sweep(
-        cfg["s"], cfg["p"], params, n_list, cfg["trials"], cfg["seed"], weighted=True
+        cfg["s"], cfg["p"], params, cfg["n_list"], cfg["trials"], cfg["seed"], weighted=True
     )
     lines = [f"{r['N']},{r['trial']},{r['family']},{r['ratio']:.10g},{h}" for r in rows]
     _write_csv(
@@ -225,7 +215,6 @@ def cmd_estimates(cfg, h, out):
         lines,
     )
     if cfg["time_loc"]:
-        N = n_list[0]
         f = SpaceTimeCoeffs.from_points(N, family_points("free_curve", N, cfg["p"], None)[0])
         tl_lines = []
         for k in range(0, 7):
@@ -262,7 +251,6 @@ def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--config", default=None, help="INI file with a [subcommand] section")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="override the seed")
     common.add_argument("--verbose", action="store_true")
     parser = _Parser(prog="kdvnoise")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -274,8 +262,10 @@ def _build_parser():
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        overrides = {} if args.seed is None else {"seed": args.seed}
-        cfg = load_config(args.subcommand, args.config, overrides, os.environ)
+        leftover = sorted(k for k in os.environ if k.startswith("KDVNOISE_"))
+        if leftover:
+            raise ConfigError(f"settings come only from --config; unset {', '.join(leftover)}")
+        cfg = load_config(args.subcommand, args.config)
     except SystemExit as exc:  # -h
         return exc.code if isinstance(exc.code, int) else 2
     except ConfigError as exc:

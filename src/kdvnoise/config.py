@@ -1,9 +1,11 @@
-"""Layered run configuration: defaults < INI file < environment < CLI flags.
+"""Run configuration: the [subcommand] section of one INI file over defaults.
 
-Each subcommand owns one schema. Environment overrides use the KDVNOISE_
-prefix with the upper-cased key name (KDVNOISE_SEED, ...). Unknown keys and
-unparseable or out-of-range values raise ConfigError; the resolved mapping
-is hashed (short SHA-256 of its canonical JSON) for provenance stamping.
+Each subcommand owns one schema, and its INI section is the only way to set
+a value; schema defaults, stored already typed, fill the missing keys. INI
+values are read raw (no interpolation) and parsed here, list kinds as
+comma-separated tokens. A missing section, unknown keys and unparseable or
+out-of-range values raise ConfigError; the resolved mapping is hashed (short
+SHA-256 of its canonical JSON) for provenance stamping.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import os
 
 __all__ = ["ConfigError", "config_hash", "load_config"]
 
-_ENV_PREFIX = "KDVNOISE_"
 _REQUIRED = object()
 
 
@@ -35,7 +36,7 @@ def _unit_open(x):
     return 0.0 < x < 1.0
 
 
-# key -> (type tag, default or _REQUIRED, validator or None)
+# key -> (type tag, typed default or _REQUIRED, validator or None)
 _SCHEMAS = {
     "sample": {
         "N": ("int", _REQUIRED, _positive),
@@ -46,7 +47,7 @@ _SCHEMAS = {
         "input": ("str", _REQUIRED, bool),
         "dt": ("float", _REQUIRED, _positive),
         "T": ("float", _REQUIRED, _nonnegative),
-        "checkpoints": ("str", "", None),
+        "checkpoints": ("floats", (), None),
     },
     "invariance": {
         "N": ("int", _REQUIRED, _positive),
@@ -71,7 +72,7 @@ _SCHEMAS = {
         "resonance_bound": ("int", 200, _positive),
         "psum_cutoff": ("int", 10**6, _positive),
         "seed": ("int", 0, _nonnegative),
-        "decay_m_max": ("int", 65536, _positive),
+        "decay_m_max": ("int", 65536, lambda m: m > 0 and m & (m - 1) == 0),
         "decay_seeds": ("int", 200, _positive),
         "decay_delta": ("float", 0.1, _unit_open),
     },
@@ -81,7 +82,7 @@ _SCHEMAS = {
         "C": ("float", 10.0, lambda x: x >= 1),
         "c0": ("float", 1.0, _nonnegative),
         "delta": ("float", 0.01, _unit_open),
-        "n_list": ("str", "8,16,32,64", None),
+        "n_list": ("ints", (8, 16, 32, 64), lambda ns: bool(ns) and min(ns) >= 2),
         "trials": ("int", 200, _nonnegative),
         "seed": ("int", 0, _nonnegative),
         "time_loc": ("bool", True, None),
@@ -89,79 +90,64 @@ _SCHEMAS = {
 }
 
 
+_LIST_KINDS = {"floats": "float", "ints": "int"}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
 def _coerce(key, kind, raw):
+    """Parse one INI string; list kinds parse each comma-separated token."""
+    if kind in _LIST_KINDS:
+        return tuple(_coerce(key, _LIST_KINDS[kind], t) for t in raw.split(",") if t.strip())
     if kind == "str":
-        return str(raw)
+        return raw
     try:
         if kind == "int":
-            if isinstance(raw, bool):
-                raise ValueError(raw)
-            return int(raw) if not isinstance(raw, str) else int(raw, 10)
+            return int(raw, 10)
         if kind == "float":
             val = float(raw)
             if not math.isfinite(val):
                 raise ValueError(raw)
             return val
-        if kind == "bool":
-            if isinstance(raw, bool):
-                return raw
-            low = str(raw).strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-    except (TypeError, ValueError):
+        return _BOOLS[raw.strip().lower()]
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for {key!r}: {raw!r} (expected {kind})") from None
-    raise ConfigError(f"unknown type tag {kind!r} for {key!r}")
 
 
-def load_config(subcommand, path, cli_overrides, env):
+def load_config(subcommand, path):
     """Resolve one subcommand's configuration mapping.
 
-    path may be None (no file layer). cli_overrides is a plain dict of
-    already-chosen values; env is consulted only for schema keys, via the
-    KDVNOISE_ prefix.
+    path may be None (defaults only); a file must hold a [subcommand] section.
     """
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     schema = _SCHEMAS[subcommand]
 
-    merged = {k: dflt for k, (_, dflt, _v) in schema.items() if dflt is not _REQUIRED}
-
+    resolved = {key: dflt for key, (_kind, dflt, _v) in schema.items()}
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keys are case-sensitive (N vs n)
         try:
-            parser.read(path)
-        except configparser.Error as exc:
+            parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config file: {exc}") from exc
-        if parser.has_section(subcommand):
-            for key, raw in parser.items(subcommand):
-                if key not in schema:
-                    raise ConfigError(f"unknown key {key!r} in [{subcommand}]")
-                merged[key] = raw
-
-    for key in schema:
-        raw = env.get(_ENV_PREFIX + key.upper())
-        if raw is not None:
-            merged[key] = raw
-
-    for key, value in cli_overrides.items():
-        if key not in schema:
-            raise ConfigError(f"unknown override key {key!r}")
-        merged[key] = value
-
-    resolved = {}
-    for key, (kind, _dflt, validator) in schema.items():
-        if key not in merged:
-            raise ConfigError(f"missing required key {key!r} for [{subcommand}]")
-        value = _coerce(key, kind, merged[key])
-        if validator is not None and not validator(value):
-            raise ConfigError(f"value out of range for {key!r}: {value!r}")
-        resolved[key] = value
+        if not parser.has_section(subcommand):
+            raise ConfigError(f"no [{subcommand}] section in {path}")
+        if parser.defaults():  # they would reach every section
+            raise ConfigError(f"keys in [{parser.default_section}]; set them in [{subcommand}]")
+        for key, raw in parser.items(subcommand):
+            if key not in schema:
+                raise ConfigError(f"unknown key {key!r} in [{subcommand}]")
+            kind, _dflt, validator = schema[key]
+            value = _coerce(key, kind, raw)
+            if validator is not None and not validator(value):
+                raise ConfigError(f"value out of range for {key!r}: {value!r}")
+            resolved[key] = value
+    missing = [key for key, value in resolved.items() if value is _REQUIRED]
+    if missing:
+        raise ConfigError(f"missing required key {missing[0]!r} for [{subcommand}]")
     return resolved
 
 

@@ -2,14 +2,19 @@
 import io
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvnoise import __version__
 from kdvnoise import cli
 from kdvnoise.cli import main
-from kdvnoise.config import _SCHEMAS, ConfigError, config_hash, load_config
+from kdvnoise.config import _REQUIRED, _SCHEMAS, ConfigError, config_hash, load_config
+from kdvnoise.estimates import SpaceTimeCoeffs, family_points, time_localization_check
 from kdvnoise.invariance import generate
 from kdvnoise.snapshots import SnapshotError, load_ensemble, peek_header, save_ensemble, \
     write_atomic
@@ -218,29 +223,102 @@ class TestSnapshotHeaderSchema:
 
 
 class TestConfig:
-    def test_precedence(self, tmp_path):
-        path = write_ini(tmp_path / "c.ini", "sample", N=8, count=2, seed=1)
-        cfg = load_config("sample", path, {}, {})
-        assert cfg["seed"] == 1
-        cfg = load_config("sample", path, {}, {"KDVNOISE_SEED": "2"})
-        assert cfg["seed"] == 2
-        cfg = load_config("sample", path, {"seed": 3}, {"KDVNOISE_SEED": "2"})
-        assert cfg["seed"] == 3
-
     def test_defaults_applied(self, tmp_path):
         path = write_ini(tmp_path / "c.ini", "sample", N=8, count=2)
-        cfg = load_config("sample", path, {}, {})
+        cfg = load_config("sample", path)
         assert cfg["seed"] == 0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_ini(tmp_path / "c.ini", "sample", N=8, count=2, bogus=1)
         with pytest.raises(ConfigError):
-            load_config("sample", path, {}, {})
+            load_config("sample", path)
 
-    def test_bad_value_rejected(self, tmp_path):
+    def test_bad_value_rejected(self, tmp_path, capsys):
         path = write_ini(tmp_path / "c.ini", "sample", N=-4, count=2)
         with pytest.raises(ConfigError):
-            load_config("sample", path, {}, {})
+            load_config("sample", path)
+        # rejected before any work: a decay_m_max that is not a power of two, and
+        # counts holding '%', an ordinary character since values are read raw
+        for sub, keys in [("lemmas", dict(decay_m_max=100)), ("sample", dict(N=4, count="2%")),
+                          ("sample", dict(N=4, count="%(N)s"))]:
+            cfg = write_ini(tmp_path / "b.ini", sub, **keys)
+            out = tmp_path / "o"
+            assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+            assert_one_config_error(capsys)
+            assert not out.exists()
+        for n_list in ("", "8,1", "8,x"):
+            path = write_ini(tmp_path / "e.ini", "estimates", s=-0.49, p=2.1, n_list=n_list)
+            with pytest.raises(ConfigError):
+                load_config("estimates", path)
+
+    def test_list_keys_parsed(self, tmp_path):
+        path = write_ini(tmp_path / "e.ini", "estimates", s=-0.49, p=2.1, n_list=" 16, 8,,")
+        assert load_config("estimates", path)["n_list"] == (16, 8)
+        path = write_ini(tmp_path / "v.ini", "evolve", input="x", dt=0.1, T=1, checkpoints="0.5")
+        assert load_config("evolve", path)["checkpoints"] == (0.5,)
+
+    def test_missing_section_exit_2(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", "lemma", seed=1)
+        out = tmp_path / "o"
+        assert main(["lemmas", "--config", cfg, "--out", str(out)]) == 2
+        assert "[lemmas]" in read_err(capsys)["error"]["message"]
+        assert not out.exists()
+        # [DEFAULT] would be a second way to set every key
+        path = tmp_path / "d.ini"
+        path.write_text("[DEFAULT]\nseed = 3\n[lemmas]\n")
+        with pytest.raises(ConfigError, match="DEFAULT"):
+            load_config("lemmas", str(path))
+        # no file at all means the defaults
+        assert load_config("lemmas", None)["decay_m_max"] == 65536
+
+    def test_environment_variable_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg = write_ini(tmp_path / "c.ini", "sample", N=4, count=1)
+        out = tmp_path / "o"
+        monkeypatch.setenv("KDVNOISE_SEED", "11")
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["code"] == "config"
+        assert "KDVNOISE_SEED" in err[0]
+        assert not out.exists()
+
+    # one valid section per subcommand; evolve's input is not opened by load_config
+    VALID = {
+        "sample": dict(N=4, count=2),
+        "evolve": dict(input="in.snap", dt=1e-3, T=0.01),
+        "invariance": dict(N=4, count=2, dt=1e-3, T=0.01),
+        "tails": dict(N=8, samples=4, s=-0.49, p=2.1, k_min=1.0, k_max=2.0, k_step=0.25),
+        "lemmas": dict(),
+        "estimates": dict(s=-0.49, p=2.1),
+    }
+
+    @pytest.mark.parametrize("sub,key", [(sub, key) for sub in _SCHEMAS for key in _SCHEMAS[sub]])
+    @settings(max_examples=40, deadline=None)
+    @given(value=st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))))
+    def test_any_value_resolves_or_config_error(self, tmp_path_factory, sub, key, value):
+        path = tmp_path_factory.getbasetemp() / f"fuzz_{sub}_{key}.ini"
+        keys = dict(self.VALID[sub], **{key: value})
+        path.write_text(
+            f"[{sub}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()), encoding="utf-8"
+        )
+        try:
+            load_config(sub, str(path))
+        except ConfigError:
+            pass
+
+    def test_readme_table_lists_schema_keys(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 4 and cells[0].strip("`") in _SCHEMAS:
+                required, optional = (re.findall(r"`([^`]+)`", c) for c in cells[1:3])
+                table[cells[0].strip("`")] = (required, optional)
+        assert set(table) == set(_SCHEMAS)
+        for sub, schema in _SCHEMAS.items():
+            required = [k for k, (_t, dflt, _v) in schema.items() if dflt is _REQUIRED]
+            optional = [k for k in schema if k not in required]
+            assert table[sub] == (required, optional), sub
 
     def test_unused_estimates_key_rejected(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "estimates", s=-0.49, p=2.1, bounded_factor=3.0)
@@ -249,11 +327,11 @@ class TestConfig:
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         p1 = write_ini(tmp_path / "a.ini", "sample", N=8, count=2, seed=1)
-        c1 = load_config("sample", p1, {}, {})
-        c2 = load_config("sample", p1, {}, {})
+        c1 = load_config("sample", p1)
+        c2 = load_config("sample", p1)
         assert config_hash(c1) == config_hash(c2)
         assert len(config_hash(c1)) == 12
-        c3 = load_config("sample", p1, {"seed": 4}, {})
+        c3 = load_config("sample", write_ini(tmp_path / "b.ini", "sample", N=8, count=2, seed=4))
         assert config_hash(c1) != config_hash(c3)
 
 
@@ -282,7 +360,7 @@ class TestEveryKeyRead:
     def test_every_schema_key_read(self, tmp_path, sub, keys):
         if sub == "evolve":
             keys = dict(keys, input=write_input(tmp_path, 4, 2, 1))
-        cfg = RecordingConfig(load_config(sub, write_ini(tmp_path / "c.ini", sub, **keys), {}, {}))
+        cfg = RecordingConfig(load_config(sub, write_ini(tmp_path / "c.ini", sub, **keys)))
         assert cli._COMMANDS[sub](cfg, "0" * 12, str(tmp_path)) == 0
         assert cfg.read == set(_SCHEMAS[sub])
 
@@ -298,20 +376,6 @@ class TestCmdSample:
         cfg0 = write_ini(tmp_path / "c0.ini", "sample", N=8, count=0, seed=7)
         assert main(["sample", "--config", cfg0, "--out", str(tmp_path / "o2")]) == 0
         assert load_ensemble(tmp_path / "o2" / "ensemble.snap").count == 0
-
-    def test_seed_flag_overrides(self, tmp_path, capsys):
-        cfg = write_ini(tmp_path / "c.ini", "sample", N=8, count=2, seed=1)
-        out = tmp_path / "o"
-        assert main(["sample", "--config", cfg, "--out", str(out), "--seed", "42"]) == 0
-        h = peek_header(out / "ensemble.snap")
-        assert h["provenance"]["seed"] == 42
-
-    def test_env_override(self, tmp_path, capsys, monkeypatch):
-        cfg = write_ini(tmp_path / "c.ini", "sample", N=8, count=2, seed=1)
-        out = tmp_path / "o"
-        monkeypatch.setenv("KDVNOISE_SEED", "11")
-        assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
-        assert peek_header(out / "ensemble.snap")["provenance"]["seed"] == 11
 
     def test_rerun_identical_bytes(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "sample", N=8, count=4, seed=3)
@@ -330,6 +394,9 @@ class TestCmdSample:
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         rc = main(["sample", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
         assert rc == 2
+        latin1 = tmp_path / "latin1.ini"  # the file is read as UTF-8
+        latin1.write_bytes(b"# \xe9t\xe9\n[sample]\nN = 4\ncount = 1\n")
+        assert main(["sample", "--config", str(latin1), "--out", str(tmp_path / "o")]) == 2
 
     # evolve has no seed (its ensemble comes from input=); the ids keep their
     # numbers from when it had one
@@ -344,11 +411,7 @@ class TestCmdSample:
     def test_negative_seed_exit_2(self, tmp_path, capsys, sub, keys):
         cfg = write_ini(tmp_path / "c.ini", sub, seed=-1, **keys)
         assert main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        cfg = write_ini(tmp_path / "d.ini", sub, **keys)
-        assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 2
-        assert all(json.loads(line)["error"]["code"] == "config" for line in err)
+        assert_one_config_error(capsys)
 
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "sample", N=8, count=1, seed=1)
@@ -588,6 +651,25 @@ class TestCmdEstimates:
         assert lines[1] == "N,trial,family,ratio,config_hash"
         assert len(lines) == 4
 
+    def test_time_localization_at_smallest_n(self, tmp_path, capsys):
+        cfg = write_ini(
+            tmp_path / "c.ini", "estimates", s=-0.49, p=2.1, n_list="8,2", trials=1, seed=5,
+        )
+        out = tmp_path / "o"
+        assert main(["estimates", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "time_localization.csv").read_text().splitlines()[2:]
+        f = SpaceTimeCoeffs.from_points(2, family_points("free_curve", 2, 2.1, None)[0])
+        want = [f"{time_localization_check(f, 2.0**-k, -0.49, 2.1):.10g}" for k in range(7)]
+        assert [row.split(",")[1] for row in rows] == want
+
+    def test_time_localization_too_large_exit_2(self, tmp_path, capsys):
+        # refused before the sweep's 200 trials at N=32 and its 0.5 GB table
+        cfg = write_ini(tmp_path / "c.ini", "estimates", s=-0.49, p=2.1, n_list="32")
+        out = tmp_path / "o"
+        assert main(["estimates", "--config", cfg, "--out", str(out)]) == 2
+        assert_one_config_error(capsys)
+        assert not (out / "estimates.csv").exists()
+
 
 class TestCliGeneral:
     def test_unknown_subcommand(self, tmp_path, capsys):
@@ -599,8 +681,8 @@ class TestCliGeneral:
         assert_one_config_error(capsys)
 
     @pytest.mark.parametrize("extra", [
-        ["--seed", "x"], ["--workers", "2"], ["--bogus"],
-    ], ids=["bad-seed", "workers", "unknown-flag"])
+        ["--seed", "x"], ["--workers", "2"], ["--bogus"], ["--seed", "5"],
+    ], ids=["bad-seed", "workers", "unknown-flag", "seed-flag"])
     def test_malformed_flags_exit_2(self, tmp_path, capsys, extra):
         cfg = write_ini(tmp_path / "c.ini", "invariance", N=4, count=2, dt=1e-3, T=0.0)
         out = tmp_path / "o"
