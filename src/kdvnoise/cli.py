@@ -266,21 +266,16 @@ def main(argv=None):
         if leftover:
             raise ConfigError(f"settings come only from --config; unset {', '.join(leftover)}")
         cfg = load_config(args.subcommand, args.config)
+        h = config_hash(cfg)
+        if args.verbose:
+            print(f"kdvnoise {__version__} {args.subcommand} config_hash={h}", file=sys.stdout)
+        # the output directory is made by the first file written into it
+        return _COMMANDS[args.subcommand](cfg, h, args.out)
     except SystemExit as exc:  # -h
         return exc.code if isinstance(exc.code, int) else 2
     except ConfigError as exc:
         return _fail("config", exc)
-    h = config_hash(cfg)
-    if args.verbose:
-        print(f"kdvnoise {__version__} {args.subcommand} config_hash={h}", file=sys.stdout)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, h, args.out)
-    except ConfigError as exc:
-        return _fail("config", exc)
-    except SnapshotError as exc:
-        return _fail("io", exc)
-    except OSError as exc:
+    except (SnapshotError, OSError) as exc:
         return _fail("io", exc)
     except (IntegratorBlowupError, ValueError) as exc:
         return _fail("runtime", exc)

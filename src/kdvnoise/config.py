@@ -91,8 +91,6 @@ _SCHEMAS = {
 
 
 _LIST_KINDS = {"floats": "float", "ints": "int"}
-_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
-          "false": False, "0": False, "no": False, "off": False}
 
 
 def _coerce(key, kind, raw):
@@ -109,7 +107,7 @@ def _coerce(key, kind, raw):
             if not math.isfinite(val):
                 raise ValueError(raw)
             return val
-        return _BOOLS[raw.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except (KeyError, ValueError):
         raise ConfigError(f"bad value for {key!r}: {raw!r} (expected {kind})") from None
 

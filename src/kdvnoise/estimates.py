@@ -124,7 +124,8 @@ def _weight_candidates(n, d, r):
 
 
 def _weight_hits(n, tau, params):
-    """Candidates k and the mask of the distinct nonzero k in the resonance window.
+    """Candidates k, the mask of the distinct nonzero k in the resonance window,
+    and each candidate's gain min(<k>, <n-k>)^delta.
 
     One row per flat point; the caller keeps only |n| >= C and needs c0 > 0.
     """
@@ -136,7 +137,8 @@ def _weight_hits(n, tau, params):
     )
     kf = k.astype(float)
     value = 3.0 * n[:, None] * kf * (n[:, None] - kf)
-    return k, (k != 0) & first & (np.abs(d[:, None] + value) <= r[:, None])
+    hit = (k != 0) & first & (np.abs(d[:, None] + value) <= r[:, None])
+    return k, hit, np.minimum(bracket(k), bracket(n[:, None] - k)) ** params.delta
 
 
 def _weight_eval(n, tau, params):
@@ -147,9 +149,7 @@ def _weight_eval(n, tau, params):
     live = np.abs(n) >= params.C
     if params.c0 == 0 or not live.any():
         return out
-    nl = n[live]
-    k, hit = _weight_hits(nl, tau[live], params)
-    gain = np.minimum(bracket(k), bracket(nl[:, None] - k)) ** params.delta
+    _k, hit, gain = _weight_hits(n[live], tau[live], params)
     out[live] = 1.0 + np.sum(np.where(hit, gain, 0.0), axis=1)
     return out
 
@@ -168,9 +168,8 @@ def weight_terms(n, tau, params):
     """The contributing (k, gain) pairs behind resonance_weight at one point."""
     if abs(n) < params.C or params.c0 == 0:
         return []
-    k, hit = _weight_hits(np.array([n], dtype=np.int64), np.array([float(tau)]), params)
-    hits = k[hit].tolist()
-    return [(kk, min(bracket(kk), bracket(n - kk)) ** params.delta) for kk in hits]
+    k, hit, gain = _weight_hits(np.array([n], dtype=np.int64), np.array([float(tau)]), params)
+    return list(zip(k[hit].tolist(), gain[hit].tolist()))
 
 
 # --------------------------------------------------------- space-time grids

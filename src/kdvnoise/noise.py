@@ -35,7 +35,6 @@ __all__ = [
     "log_density_unnormalized",
     "sample",
     "sample_batch",
-    "tail_probability",
     "tail_sweep",
 ]
 
@@ -187,12 +186,6 @@ def sample(spec):
 def log_density_unnormalized(f):
     """log of the sampling density up to its normalization: -l2_mass/4."""
     return -l2_mass(f) / 4.0
-
-
-def tail_probability(norm_spec, N, K, samples, seed):
-    """Monte Carlo estimate of P(norm > K) with its binomial standard error."""
-    row = tail_sweep(norm_spec, N, [K], samples, seed)[0]
-    return row["estimate"], row["stderr"]
 
 
 def _wilson(count, n, z=2.576):

@@ -16,6 +16,7 @@ import json
 import os
 import secrets
 import struct
+import sys
 
 import numpy as np
 
@@ -36,9 +37,11 @@ class SnapshotError(Exception):
 def write_atomic(path, mode="w", **kwargs):
     """Open a new temporary file beside path; on a clean exit it replaces path.
 
-    If the body raises, the temporary file is removed and path is untouched.
+    A missing parent directory is created first. If the body raises, the
+    temporary file is removed and path is untouched.
     """
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
     fh = open(tmp, mode.replace("w", "x"), **kwargs)
     try:
@@ -83,7 +86,7 @@ def _read_header(fh):
         raise SnapshotError("truncated header")
     try:
         header = json.loads(fh.read(hlen).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long int, deep nesting
         raise SnapshotError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise SnapshotError(f"header is a JSON {type(header).__name__}, not an object")
@@ -97,8 +100,12 @@ def _read_header(fh):
             raise SnapshotError(f"header {key} must be an integer >= {low}, got {value!r}")
     if not isinstance(header.get("payload_sha256"), str):
         raise SnapshotError("header lacks the payload checksum")
-    if type(header.get("time")) not in (int, float) or "provenance" not in header:
-        raise SnapshotError("header lacks a numeric time or the provenance")
+    time = header.get("time")
+    # an int beyond the float range compares exactly, so it is refused here too
+    if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
+        raise SnapshotError(f"header time must be a finite number, got {time!r}")
+    if not isinstance(header.get("provenance"), dict):
+        raise SnapshotError("header provenance must be a JSON object")
     return header
 
 

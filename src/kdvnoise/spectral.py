@@ -23,7 +23,6 @@ __all__ = [
     "grid_values",
     "hamiltonian",
     "l2_mass",
-    "sobolev_norm",
 ]
 
 
@@ -210,10 +209,6 @@ def fl_norm(f, s, p):
     if math.isinf(p):
         return float(weighted.max(initial=0.0))
     return float((2.0 * np.sum(weighted**p)) ** (1.0 / p))
-
-
-def sobolev_norm(f, s):
-    return fl_norm(f, s, 2.0)
 
 
 def l2_mass(f):

@@ -119,6 +119,29 @@ def nonlinear_pseudospectral(coeffs):
     return wh[1:N + 1]
 
 
+def if_rk4_step(coeffs, h):
+    """One integrating-factor RK4 step written from the formula.
+
+    In the interaction picture v = E(-t) a, with E(t) = exp(i n^3 t), the
+    truncated system reads v' = E(-t) F(E(t) v), F the pseudospectral
+    quadratic term. Classical RK4 on v from v(0) = a, then a(h) = E(h) v(h).
+    """
+    a = np.asarray(coeffs, dtype=complex)
+    n = np.arange(1, len(a) + 1)
+
+    def E(t):
+        return np.exp(1j * n**3 * t)
+
+    def G(t, v):
+        return E(-t) * nonlinear_pseudospectral(E(t) * v)
+
+    k1 = G(0.0, a)
+    k2 = G(h / 2, a + h / 2 * k1)
+    k3 = G(h / 2, a + h / 2 * k2)
+    k4 = G(h, a + h * k3)
+    return E(h) * (a + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
 def weight_scan(n, tau, C, c0, delta, kmax):
     """Brute-force scan over |k| <= kmax for the resonance weight."""
     if abs(n) < C:

@@ -1,4 +1,6 @@
 """End-to-end command-line and persistence contract tests."""
+import contextlib
+import importlib
 import io
 import json
 import os
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdvnoise
 from kdvnoise import __version__
 from kdvnoise import cli
 from kdvnoise.cli import main
@@ -31,10 +34,14 @@ def read_err(capsys):
     return json.loads(err[-1])
 
 
-def assert_one_config_error(capsys):
+def assert_one_error(capsys, code):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert json.loads(err[0])["error"]["code"] == "config"
+    assert json.loads(err[0])["error"]["code"] == code
+
+
+def assert_one_config_error(capsys):
+    assert_one_error(capsys, "config")
 
 
 def write_input(tmp_path, N, count, seed):
@@ -193,6 +200,11 @@ class TestAtomicWrites:
         assert np.array_equal(load_ensemble(path).coeffs, generate(4, 3, seed=2).coeffs)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.snap"]
 
+    def test_missing_directory_created(self, tmp_path):
+        path = tmp_path / "a" / "b" / "e.snap"
+        save_ensemble(generate(4, 3, seed=1), path)
+        assert np.array_equal(load_ensemble(path).coeffs, generate(4, 3, seed=1).coeffs)
+
 
 class TestSnapshotHeaderSchema:
     VALID = {"format_version": 1, "N": 2, "count": 1, "time": 0.0,
@@ -206,20 +218,92 @@ class TestSnapshotHeaderSchema:
         dict(VALID, N=True),
         {k: v for k, v in VALID.items() if k != "payload_sha256"},
         dict(VALID, time="0"),
+        dict(VALID, time=float("nan")),
+        dict(VALID, time=10**400),
+        dict(VALID, provenance=5),
+        dict(VALID, provenance=[1, 2]),
+        dict(VALID, provenance="ab"),
+        {k: v for k, v in VALID.items() if k != "provenance"},
     ], ids=["missing-N", "list", "negative-N", "string-count", "bool-N", "missing-checksum",
-            "string-time"])
+            "string-time", "nan-time", "huge-int-time", "int-provenance", "list-provenance",
+            "string-provenance", "missing-provenance"])
     def test_rejected_with_exit_3(self, tmp_path, capsys, header):
         bad = tmp_path / "bad.snap"
         write_snap(bad, header, payload=bytes(32))
+        self.assert_exit_3(tmp_path, capsys, bad)
+
+    # json.loads raises RecursionError and ValueError, not JSONDecodeError, for these
+    @pytest.mark.parametrize("blob", [b"[" * 100_000, b'{"time": ' + b"1" * 5000 + b"}"],
+                             ids=["deep-nesting", "long-int"])
+    def test_undecodable_header_exit_3(self, tmp_path, capsys, blob):
+        bad = tmp_path / "bad.snap"
+        write_snap(bad, self.VALID)
+        bad.write_bytes(bad.read_bytes()[:8] + len(blob).to_bytes(4, "little") + blob)
+        self.assert_exit_3(tmp_path, capsys, bad)
+
+    @staticmethod
+    def assert_exit_3(tmp_path, capsys, bad):
         with pytest.raises(SnapshotError):
             load_ensemble(bad)
         with pytest.raises(SnapshotError):
             peek_header(bad)
         cfg = write_ini(tmp_path / "c.ini", "evolve", input=str(bad), dt=1e-3, T=0.01)
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert json.loads(err[0])["error"]["code"] == "io"
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+        assert_one_error(capsys, "io")
+        assert not out.exists()
+
+
+# any JSON value a header key could be replaced with, scalars as often as containers
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+SNAPSHOT_DAMAGE = st.one_of(
+    *(st.tuples(st.just("key"), st.just(key), JSON_VALUES)
+      for key in sorted(TestSnapshotHeaderSchema.VALID)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(st.just("flip"), st.integers(min_value=0), st.integers(1, 255)),
+)
+
+
+class TestSnapshotFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(damage=SNAPSHOT_DAMAGE)
+    def test_damaged_snapshot_exits_cleanly(self, tmp_path_factory, damage):
+        base = tmp_path_factory.getbasetemp() / "snapshot_fuzz"
+        base.mkdir(exist_ok=True)
+        snap = base / "in.snap"
+        save_ensemble(generate(2, 1, seed=1), snap)
+        raw = snap.read_bytes()
+        if damage[0] == "key":
+            # one header value replaced; the checksum and length are not recomputed
+            _, key, value = damage
+            hlen = int.from_bytes(raw[8:12], "little")
+            header = dict(json.loads(raw[12 : 12 + hlen]), **{key: value})
+            blob = json.dumps(header, sort_keys=True).encode("utf-8")
+            raw = raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :]
+        elif damage[0] == "truncate":
+            raw = raw[: damage[1] % len(raw)]
+        else:
+            _, pos, mask = damage
+            raw = bytearray(raw)
+            raw[pos % len(raw)] ^= mask
+        snap.write_bytes(bytes(raw))
+        cfg = write_ini(base / "c.ini", "evolve", input=str(snap), dt=1e-3, T=1e-3)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["evolve", "--config", cfg, "--out", str(base / "o")])
+        assert rc in (0, 3, 4)
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["code"] == {3: "io", 4: "runtime"}[rc]
 
 
 class TestConfig:
@@ -504,7 +588,7 @@ class TestCmdEvolve:
         out = tmp_path / "o"
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
         assert read_err(capsys)["error"]["code"] == "config"
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_empty_input_exit_2(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "evolve", input="", dt=1e-3, T=0.01)
@@ -671,6 +755,22 @@ class TestCmdEstimates:
         assert not (out / "estimates.csv").exists()
 
 
+class TestReadme:
+    def test_layout_table_lists_each_all(self):
+        # one row per module, naming exactly what the module exports
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            module = re.fullmatch(r"`kdvnoise\.(\w+)`", cells[0])
+            if len(cells) == 2 and module:
+                table[module.group(1)] = sorted(re.findall(r"`([^`]+)`", cells[1]))
+        package = pathlib.Path(kdvnoise.__file__).parent
+        assert set(table) == {p.stem for p in package.glob("*.py")} - {"__init__"}
+        for name, names in table.items():
+            assert names == sorted(importlib.import_module(f"kdvnoise.{name}").__all__), name
+
+
 class TestCliGeneral:
     def test_unknown_subcommand(self, tmp_path, capsys):
         assert main(["frobnicate"]) == 2
@@ -702,6 +802,31 @@ class TestCliGeneral:
     def test_verbose_flag_accepted(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "sample", N=4, count=1, seed=1)
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o"), "--verbose"]) == 0
+
+    @pytest.mark.parametrize("sub,keys,code", [
+        ("estimates", dict(s=-0.49, p=2.1, n_list="32"), 2),
+        ("evolve", dict(dt=1e-3, T=0.01, checkpoints="0.5"), 2),
+        ("tails", dict(N=8, samples=10, s=-0.49, p=2.1, k_min=3.0, k_max=2.0, k_step=0.2), 2),
+        ("evolve", dict(input="missing", dt=1e-3, T=0.01), 3),
+    ], ids=["estimates-n-list", "evolve-checkpoint", "tails-k-range", "evolve-missing-input"])
+    def test_error_leaves_no_out_directory(self, tmp_path, capsys, sub, keys, code):
+        if keys.get("input") == "missing":
+            keys = dict(keys, input=str(tmp_path / "missing.snap"))
+        elif sub == "evolve":
+            keys = dict(keys, input=write_input(tmp_path, 4, 2, 1))
+        cfg = write_ini(tmp_path / "c.ini", sub, **keys)
+        out = tmp_path / "o"
+        assert main([sub, "--config", cfg, "--out", str(out)]) == code
+        assert_one_error(capsys, {2: "config", 3: "io"}[code])
+        assert not out.exists()
+
+    def test_new_nested_out_directory(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", "evolve", input=write_input(tmp_path, 4, 2, 1),
+                        dt=1e-3, T=0.01, checkpoints="0.005")
+        out = tmp_path / "a" / "b"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint_0.005.snap", "conservation.csv", "ensemble_final.snap"]
 
     def test_version_string(self):
         assert isinstance(__version__, str) and __version__.count(".") == 2

@@ -109,6 +109,20 @@ class TestStep:
         g = step(FourierField.zeros(8), 1e-3)
         assert np.all(g.coeffs == 0)
 
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_matches_naive_if_rk4(self, N):
+        # the stage arithmetic against the formula written apart from src/
+        dt = 2.0**-14
+        rows = np.stack([wn(N, 7, k).coeffs for k in range(3)])
+        want = oracles.if_rk4_step(rows[0], dt)
+        got = step(FourierField(N, rows[0]), dt).coeffs
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        want = rows
+        for _ in range(8):
+            want = np.stack([oracles.if_rk4_step(r, dt) for r in want])
+        got = evolve_batch(rows, FlowConfig(dt=dt, T=8 * dt))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_richardson_order4(self):
         # self-convergence at a stable configuration
         f = wn(32, 5)

@@ -14,7 +14,6 @@ from kdvnoise.noise import (
     log_density_unnormalized,
     sample,
     sample_batch,
-    tail_probability,
     tail_sweep,
 )
 from kdvnoise.spectral import FourierField, NormSpec, l2_mass
@@ -139,16 +138,17 @@ class TestLogDensity:
 
 class TestTails:
     def test_k_zero(self):
-        est, se = tail_probability(NormSpec(-0.49, 2.1, INF), 8, 0.0, 200, 1)
-        assert est == 1.0
+        (row,) = tail_sweep(NormSpec(-0.49, 2.1, INF), 8, [0.0], 200, 1)
+        assert row["estimate"] == 1.0
 
     def test_k_huge(self):
-        est, se = tail_probability(NormSpec(-0.49, 2.1, INF), 16, 1e6, 200, 1)
-        assert est == 0.0
+        (row,) = tail_sweep(NormSpec(-0.49, 2.1, INF), 16, [1e6], 200, 1)
+        assert row["estimate"] == 0.0
 
     def test_stderr_formula(self):
-        est, se = tail_probability(NormSpec(-0.49, 2.1, INF), 8, 2.0, 500, 2)
-        assert se == pytest.approx(math.sqrt(est * (1 - est) / 500))
+        (row,) = tail_sweep(NormSpec(-0.49, 2.1, INF), 8, [2.0], 500, 2)
+        est = row["estimate"]
+        assert row["stderr"] == pytest.approx(math.sqrt(est * (1 - est) / 500))
 
     def test_sweep_rows(self):
         rows = tail_sweep(NormSpec(-0.49, 2.1, INF), 16, [1.0, 2.0, 50.0], 400, 3)

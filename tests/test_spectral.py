@@ -17,7 +17,6 @@ from kdvnoise.spectral import (
     grid_values,
     hamiltonian,
     l2_mass,
-    sobolev_norm,
 )
 
 INF = math.inf
@@ -166,17 +165,13 @@ class TestNorms:
         expect = oracles.fl_brute(f.coeffs, 0.7, 3.0)
         assert fl_norm(f, 0.7, 3.0) == pytest.approx(expect, rel=1e-12)
 
-    def test_sobolev_is_fl_p2(self):
-        f = random_field(16, 9)
-        assert sobolev_norm(f, -0.3) == pytest.approx(fl_norm(f, -0.3, 2.0), rel=1e-14)
-
     def test_l2_mass_single_pair(self):
         f = FourierField.from_pairs(4, {2: 1.0})
         assert l2_mass(f) == pytest.approx(2.0, rel=1e-14)
 
     def test_l2_mass_is_squared_sobolev(self):
         f = random_field(12, 11)
-        assert l2_mass(f) == pytest.approx(sobolev_norm(f, 0.0) ** 2, rel=1e-13)
+        assert l2_mass(f) == pytest.approx(fl_norm(f, 0.0, 2.0) ** 2, rel=1e-13)
 
     def test_l2_mass_quadrature_oracle(self):
         f = random_field(16, 12)
