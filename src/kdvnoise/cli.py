@@ -8,6 +8,7 @@ stderr with exit codes: 0 ok, 2 configuration, 3 I/O, 4 runtime.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -31,35 +32,33 @@ __all__ = ["main"]
 _TIME_LOC_MAX_N = 16  # time localization's table: 2N x (16N^3+1) complex, 34 MB at N=16
 
 
-def _stamp(h):
-    return f"# tool=kdvnoise {__version__} config_hash={h}"
-
-
 def _fail(code, message):
     payload = {"error": {"code": code, "message": str(message).replace("\n", "; ")}}
     print(json.dumps(payload), file=sys.stderr)
     return {"config": 2, "io": 3, "runtime": 4}[code]
 
 
-def _flow_config(cfg_dt, cfg_T, **kw):
-    # malformed step/horizon combinations are configuration mistakes
+@contextlib.contextmanager
+def _config_values():
+    # a ValueError while a run's parameters are built is a configuration mistake
     try:
-        return FlowConfig(dt=cfg_dt, T=cfg_T, **kw)
+        yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_csv(path, stamp, columns, rows):
-    with write_atomic(path, encoding="utf-8") as fh:
-        fh.write(stamp + "\n")
+def _write_csv(out, name, h, columns, rows):
+    with write_atomic(os.path.join(out, name), encoding="utf-8") as fh:
+        fh.write(f"# tool=kdvnoise {__version__} config_hash={h}\n")
         fh.write(columns + "\n")
         for row in rows:
             fh.write(row + "\n")
 
 
-def _write_json(path, obj):
+def _write_json(out, name, h, obj):
+    obj = dict(obj, tool=f"kdvnoise {__version__}", config_hash=h)
     # allow_nan=False: a NaN would make the file invalid JSON
-    with write_atomic(path, encoding="utf-8") as fh:
+    with write_atomic(os.path.join(out, name), encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -82,7 +81,8 @@ def cmd_sample(cfg, h, out):
 
 def cmd_evolve(cfg, h, out):
     ens = load_ensemble(cfg["input"])
-    fc = _flow_config(cfg["dt"], cfg["T"])
+    with _config_values():
+        fc = FlowConfig(dt=cfg["dt"], T=cfg["T"])
     cps = sorted(set(cfg["checkpoints"]))
     for c in cps:
         if not 0.0 < c < cfg["T"]:
@@ -90,10 +90,8 @@ def cmd_evolve(cfg, h, out):
     names = [f"checkpoint_{c:g}.snap" for c in cps]
     if len(set(names)) < len(names):
         raise ConfigError(f"checkpoints {cps} do not all get distinct file names")
-    try:
+    with _config_values():
         states = evolve_checkpoints(ens.coeffs, fc, cps + [fc.T])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     for (t, coeffs), name in zip(states, names + ["ensemble_final.snap"]):
         final = _evolved(ens, fc, coeffs, t)
@@ -109,8 +107,9 @@ def cmd_evolve(cfg, h, out):
             f"{rep['hamiltonian_drift_abs']:.6e},{rep['hamiltonian_drift_rel']:.6e}"
         )
     _write_csv(
-        os.path.join(out, "conservation.csv"),
-        _stamp(h),
+        out,
+        "conservation.csv",
+        h,
         "member,l2_drift_abs,l2_drift_rel,hamiltonian_drift_abs,hamiltonian_drift_rel",
         rows,
     )
@@ -119,12 +118,11 @@ def cmd_evolve(cfg, h, out):
 
 def cmd_invariance(cfg, h, out):
     base = generate(cfg["N"], cfg["count"], seed=cfg["seed"])
-    fc = _flow_config(cfg["dt"], cfg["T"])
+    with _config_values():
+        fc = FlowConfig(dt=cfg["dt"], T=cfg["T"])
     evolved = push_forward(base, fc)
     report = invariance_report(base, evolved, _headline_observables(), cfg["alpha"])
-    report["tool"] = f"kdvnoise {__version__}"
-    report["config_hash"] = h
-    _write_json(os.path.join(out, "report.json"), report)
+    _write_json(out, "report.json", h, report)
     rows = [
         f"{r['name']},{r['D']:.10g},{r['threshold']:.10g},{int(r['passes'])},"
         f"{r['mean_a']:.10g},{r['mean_b']:.10g},{r['mean_se']:.10g},"
@@ -132,8 +130,9 @@ def cmd_invariance(cfg, h, out):
         for r in report["observables"]
     ]
     _write_csv(
-        os.path.join(out, "observables.csv"),
-        _stamp(h),
+        out,
+        "observables.csv",
+        h,
         "name,D,threshold,passes,mean_a,mean_b,mean_se,var_a,var_b",
         rows,
     )
@@ -151,10 +150,8 @@ def _parse_q(raw):
 
 
 def cmd_tails(cfg, h, out):
-    try:
+    with _config_values():
         spec = NormSpec(cfg["s"], cfg["p"], _parse_q(cfg["q"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if cfg["k_min"] > cfg["k_max"]:
         raise ConfigError(f"empty K range: k_min={cfg['k_min']:g} > k_max={cfg['k_max']:g}")
     Ks = np.arange(cfg["k_min"], cfg["k_max"] + 0.5 * cfg["k_step"], cfg["k_step"])
@@ -166,15 +163,13 @@ def cmd_tails(cfg, h, out):
         for r in rows
     ]
     _write_csv(
-        os.path.join(out, "tails.csv"),
-        _stamp(h),
+        out,
+        "tails.csv",
+        h,
         "K,count,samples,estimate,stderr,wilson_low,wilson_high,censored",
         lines,
     )
-    fit = fit_log_tail(rows)
-    fit["tool"] = f"kdvnoise {__version__}"
-    fit["config_hash"] = h
-    _write_json(os.path.join(out, "tail_fit.json"), fit)
+    _write_json(out, "tail_fit.json", h, fit_log_tail(rows))
     return 0
 
 
@@ -195,7 +190,7 @@ def cmd_lemmas(cfg, h, out):
     rows.append(
         f"decay_ratio,{med:.10g},median at M={cfg['decay_m_max']} delta={cfg['decay_delta']:g}"
     )
-    _write_csv(os.path.join(out, "lemmas.csv"), _stamp(h), "name,value,note", rows)
+    _write_csv(out, "lemmas.csv", h, "name,value,note", rows)
     return 0
 
 
@@ -208,12 +203,7 @@ def cmd_estimates(cfg, h, out):
         cfg["s"], cfg["p"], params, cfg["n_list"], cfg["trials"], cfg["seed"], weighted=True
     )
     lines = [f"{r['N']},{r['trial']},{r['family']},{r['ratio']:.10g},{h}" for r in rows]
-    _write_csv(
-        os.path.join(out, "estimates.csv"),
-        _stamp(h),
-        "N,trial,family,ratio,config_hash",
-        lines,
-    )
+    _write_csv(out, "estimates.csv", h, "N,trial,family,ratio,config_hash", lines)
     if cfg["time_loc"]:
         f = SpaceTimeCoeffs.from_points(N, family_points("free_curve", N, cfg["p"], None)[0])
         tl_lines = []
@@ -221,12 +211,7 @@ def cmd_estimates(cfg, h, out):
             T = 2.0**-k
             ratio = time_localization_check(f, T, cfg["s"], cfg["p"])
             tl_lines.append(f"{T:g},{ratio:.10g},{h}")
-        _write_csv(
-            os.path.join(out, "time_localization.csv"),
-            _stamp(h),
-            "T,ratio,config_hash",
-            tl_lines,
-        )
+        _write_csv(out, "time_localization.csv", h, "T,ratio,config_hash", tl_lines)
     return 0
 
 

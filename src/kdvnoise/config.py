@@ -50,7 +50,7 @@ _SCHEMAS = {
         "checkpoints": ("floats", (), None),
     },
     "invariance": {
-        "N": ("int", _REQUIRED, _positive),
+        "N": ("int", _REQUIRED, lambda x: x >= 3),  # the headline observables read mode 3
         "count": ("int", _REQUIRED, lambda x: x >= 2),
         "seed": ("int", 0, _nonnegative),
         "dt": ("float", _REQUIRED, _positive),

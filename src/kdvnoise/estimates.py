@@ -263,13 +263,6 @@ class SpaceTimeCoeffs:
             out.values[out.row(n), out.col(tau)] += v
         return out
 
-    def same_lattice(self, other):
-        return (
-            self.N == other.N
-            and self.tau_max == other.tau_max
-            and self.dtau == other.dtau
-        )
-
 
 def _sup_block_lp(row_stats, p):
     """sup over dyadic blocks of the l^p combination of per-row statistics.
@@ -335,7 +328,7 @@ def bilinear_form(f, g, s, params, weighted=True):
     tau-convolution measure dtau, times <tau-n^3>^(-1/2); den_j is
     <tau_j-n_j^3>^(1/2), weighted additionally by w(n_j,tau_j).
     """
-    if not f.same_lattice(g):
+    if (f.N, f.tau_max, f.dtau) != (g.N, g.tau_max, g.dtau):
         raise ValueError("inputs must share one lattice")
     N, L, dtau = f.N, f.L, f.dtau
     F = f.values / _input_denominators(f, params, weighted)
@@ -497,7 +490,9 @@ def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
 
 
 def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):
-    """Max-ratio table over seeded trial families, one row per (N, trial)."""
+    """Max-ratio table over seeded trial families, one row per (N, trial); p is finite."""
+    if not math.isfinite(p):  # the sparse route raises values to the power p
+        raise ValueError(f"bilinear_ratio_sweep needs a finite p, got {p}")
     rows = []
     for N in N_list:
         for trial in range(trials):
@@ -513,11 +508,14 @@ def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):
 
 # ------------------------------------------------------------ lemma oracles
 
-def bracket_product_integral(alpha, beta, a, eps=0.01):
+_ZERO_PLUS = 0.01  # the exponent loss that stands for "0+"
+
+
+def bracket_product_integral(alpha, beta, a):
     """Quadrature of integral <tau>^-2a <tau-a>^-2b dtau and its decay ratio.
 
     The comparison exponent is gamma = 2*alpha - [1-2*beta]_+, where the
-    bracket [x]_+ means x when positive, eps when exactly 0 (the "0+" case),
+    bracket [x]_+ means x when positive, 0.01 when exactly 0 (the "0+" case),
     and 0 when negative. Returns (value, value * <a>^gamma).
     """
     if not 0 <= alpha <= beta:
@@ -557,7 +555,7 @@ def bracket_product_integral(alpha, beta, a, eps=0.01):
     if x > 1e-12:
         loss = x
     elif x >= -1e-12:
-        loss = eps
+        loss = _ZERO_PLUS
     else:
         loss = 0.0
     gamma = 2.0 * alpha - loss
@@ -602,17 +600,20 @@ def _bracket_antideriv(eta, e):
     return np.sign(eta) * ((1.0 + np.abs(eta)) ** (1.0 - e) - 1.0) / (1.0 - e)
 
 
-def resonance_set_integral(n, exponent, c0=1.0, n1_max=10**4):
+_N1_MAX = 10**4  # truncation of the union over n1
+
+
+def resonance_set_integral(n, exponent, c0=1.0):
     """integral of <eta>^-exponent over the union of resonance windows.
 
-    The set unions, over n1 not in {0, n}, the intervals of half-width
-    c0*<n*n1*(n-n1)>^(1/100) centered at -3*n*n1*(n-n1).
+    The set unions, over n1 not in {0, n} with |n1| <= 10^4, the intervals
+    of half-width c0*<n*n1*(n-n1)>^(1/100) centered at -3*n*n1*(n-n1).
     """
     if n == 0:
         raise ValueError("n must be nonzero")
     if c0 == 0.0:
         return 0.0
-    n1 = np.arange(-n1_max, n1_max + 1, dtype=float)
+    n1 = np.arange(-_N1_MAX, _N1_MAX + 1, dtype=float)
     n1 = n1[(n1 != 0) & (n1 != n)]
     prod = n * n1 * (n - n1)
     centers = -3.0 * prod

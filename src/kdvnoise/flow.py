@@ -45,11 +45,10 @@ class IntegratorBlowupError(RuntimeError):
     """Raised when a trajectory leaves the trusted numerical range.
 
     members lists the run's member indices that left it and t is the run
-    time at which the first of them did; they are [] and None when the
-    error does not come from a step.
+    time at which the first of them did.
     """
 
-    def __init__(self, message, members=(), t=None):
+    def __init__(self, message, members, t):
         super().__init__(message)
         self.members = list(members)
         self.t = t

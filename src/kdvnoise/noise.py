@@ -64,6 +64,7 @@ _POOL = 4
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _M128 = (1 << 128) - 1
 _BLOCK = 512  # rows per hash pass and per draw buffer
+_Z99 = 2.576  # two-sided 99% standard normal quantile: Wilson intervals and the fit's ci99
 
 
 def _hash_consts(init, mult, count):
@@ -188,14 +189,14 @@ def log_density_unnormalized(f):
     return -l2_mass(f) / 4.0
 
 
-def _wilson(count, n, z=2.576):
-    """Wilson score interval for a binomial proportion (99% by default)."""
+def _wilson(count, n):
+    """99% Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
     p = count / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    denom = 1.0 + _Z99 * _Z99 / n
+    center = (p + _Z99 * _Z99 / (2 * n)) / denom
+    half = (_Z99 / denom) * math.sqrt(p * (1 - p) / n + _Z99 * _Z99 / (4 * n * n))
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -250,7 +251,7 @@ def fit_log_tail(rows):
         "slope": float(slope),
         "intercept": float(intercept),
         "slope_se": float(slope_se),
-        "ci99": (float(slope - 2.576 * slope_se), float(slope + 2.576 * slope_se)),
+        "ci99": (float(slope - _Z99 * slope_se), float(slope + _Z99 * slope_se)),
         "n_points": len(usable),
     }
 

@@ -90,10 +90,9 @@ def _read_header(fh):
         raise SnapshotError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise SnapshotError(f"header is a JSON {type(header).__name__}, not an object")
-    if header.get("format_version") != _FORMAT_VERSION:
-        raise SnapshotError(
-            f"unsupported format version {header.get('format_version')!r}"
-        )
+    version = header.get("format_version")
+    if type(version) is not int or version != _FORMAT_VERSION:  # true and 1.0 equal 1
+        raise SnapshotError(f"unsupported format version {version!r}")
     for key, low in (("N", 1), ("count", 0)):
         value = header.get(key)
         if type(value) is not int or value < low:

@@ -165,7 +165,7 @@ class TestAtomicWrites:
 
     def test_failed_csv_keeps_old_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        cli._write_csv(path, "# stamp", "a,b", ["1,2", "3,4"])
+        cli._write_csv(tmp_path, "t.csv", "0" * 12, "a,b", ["1,2", "3,4"])
         old = path.read_bytes()
 
         def rows():
@@ -173,7 +173,7 @@ class TestAtomicWrites:
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError):
-            cli._write_csv(path, "# stamp", "a,b", rows())
+            cli._write_csv(tmp_path, "t.csv", "0" * 12, "a,b", rows())
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
@@ -224,9 +224,11 @@ class TestSnapshotHeaderSchema:
         dict(VALID, provenance=[1, 2]),
         dict(VALID, provenance="ab"),
         {k: v for k, v in VALID.items() if k != "provenance"},
+        dict(VALID, format_version=True),
+        dict(VALID, format_version=1.0),
     ], ids=["missing-N", "list", "negative-N", "string-count", "bool-N", "missing-checksum",
             "string-time", "nan-time", "huge-int-time", "int-provenance", "list-provenance",
-            "string-provenance", "missing-provenance"])
+            "string-provenance", "missing-provenance", "bool-version", "float-version"])
     def test_rejected_with_exit_3(self, tmp_path, capsys, header):
         bad = tmp_path / "bad.snap"
         write_snap(bad, header, payload=bytes(32))
@@ -808,7 +810,13 @@ class TestCliGeneral:
         ("evolve", dict(dt=1e-3, T=0.01, checkpoints="0.5"), 2),
         ("tails", dict(N=8, samples=10, s=-0.49, p=2.1, k_min=3.0, k_max=2.0, k_step=0.2), 2),
         ("evolve", dict(input="missing", dt=1e-3, T=0.01), 3),
-    ], ids=["estimates-n-list", "evolve-checkpoint", "tails-k-range", "evolve-missing-input"])
+        ("invariance", dict(N=2, count=4, dt=1e-3, T=0.01), 2),
+        ("evolve", dict(dt=1e-3, T=0.0105), 2),
+        ("invariance", dict(N=4, count=4, dt=1e-3, T=0.0105), 2),
+        ("evolve", dict(dt=1e-3, T=0.01, checkpoints="0.0055"), 2),
+    ], ids=["estimates-n-list", "evolve-checkpoint", "tails-k-range", "evolve-missing-input",
+            "invariance-N-below-3", "evolve-T-off-grid", "invariance-T-off-grid",
+            "evolve-checkpoint-off-grid"])
     def test_error_leaves_no_out_directory(self, tmp_path, capsys, sub, keys, code):
         if keys.get("input") == "missing":
             keys = dict(keys, input=str(tmp_path / "missing.snap"))
@@ -819,6 +827,38 @@ class TestCliGeneral:
         assert main([sub, "--config", cfg, "--out", str(out)]) == code
         assert_one_error(capsys, {2: "config", 3: "io"}[code])
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub,keys,stamped", [
+        ("sample", dict(N=4, count=2), 0),
+        ("evolve", dict(dt=1e-3, T=0.01, checkpoints="0.005"), 1),
+        ("invariance", dict(N=4, count=2, dt=1e-3, T=0.01), 2),
+        ("tails", dict(N=8, samples=400, s=-0.49, p=2.1, k_min=1.0, k_max=2.0, k_step=0.25), 2),
+        ("lemmas", dict(resonance_bound=10, psum_cutoff=100, decay_m_max=4, decay_seeds=2), 1),
+        ("estimates", dict(s=-0.49, p=2.1, n_list="2", trials=1), 2),
+    ])
+    def test_every_output_carries_the_verbose_stamp(self, tmp_path, capsys, sub, keys, stamped):
+        if sub == "evolve":
+            keys = dict(keys, input=write_input(tmp_path, 4, 2, 1))
+        cfg = write_ini(tmp_path / "c.ini", sub, **keys)
+        out = tmp_path / "o"
+        assert main([sub, "--config", cfg, "--out", str(out), "--verbose"]) == 0
+        m = re.fullmatch(rf"kdvnoise (\S+) {sub} config_hash=([0-9a-f]{{12}})",
+                         capsys.readouterr().out.strip())
+        version, h = m.groups()
+        assert version == __version__
+        checked = 0
+        for path in out.iterdir():
+            if path.suffix == ".csv":
+                stamp = path.read_text().splitlines()[0]
+                assert stamp == f"# tool=kdvnoise {version} config_hash={h}"
+                checked += 1
+            elif path.suffix == ".json":
+                obj = json.loads(path.read_text())
+                assert (obj["tool"], obj["config_hash"]) == (f"kdvnoise {version}", h)
+                checked += 1
+            else:
+                assert path.suffix == ".snap"
+        assert checked == stamped
 
     def test_new_nested_out_directory(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", "evolve", input=write_input(tmp_path, 4, 2, 1),

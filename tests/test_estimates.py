@@ -345,6 +345,12 @@ class TestRatioSweep:
         for r in rows:
             assert set(r) == {"N", "trial", "family", "ratio"}
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_non_finite_p_rejected(self, p):
+        # the sparse route has no p = inf branch; it returned inf and nan ratios
+        with pytest.raises(ValueError, match="finite p"):
+            bilinear_ratio_sweep(-0.49, p, WeightParams(C=3), [6], trials=4, seed=13)
+
     def test_sparse_matches_dense_route(self):
         # recompute one sweep ratio through the dense public operations
         s, p = -0.49, 2.1
