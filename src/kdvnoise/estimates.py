@@ -490,19 +490,32 @@ def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
 
 
 def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):
-    """Max-ratio table over seeded trial families, one row per (N, trial); p is finite."""
-    if not math.isfinite(p):  # the sparse route raises values to the power p
-        raise ValueError(f"bilinear_ratio_sweep needs a finite p, got {p}")
+    """Max-ratio table over seeded trial families, one row per (N, trial).
+
+    Needs finite p >= 1, every N >= 2 and trials >= 0. Only the random family
+    draws from the trial's rng: at a given N the out_curve_lo, out_curve_hi and
+    free_curve rows carry the same ratio at every trial, and each is computed
+    once per call.
+    """
+    if not (math.isfinite(p) and p >= 1):  # the sparse route raises values to the power p
+        raise ValueError(f"bilinear_ratio_sweep needs a finite p >= 1, got {p}")
+    if any(N < 2 for N in N_list):
+        raise ValueError(f"bilinear_ratio_sweep needs every N >= 2, got {list(N_list)}")
+    if trials < 0:
+        raise ValueError(f"bilinear_ratio_sweep needs trials >= 0, got {trials}")
     rows = []
     for N in N_list:
+        fixed = {}  # ratio of each trial-independent family at this N
         for trial in range(trials):
             family = _FAMILIES[trial % len(_FAMILIES)]
-            rng = sweep_trial_rng(seed, N, trial)
-            fpts, gpts = family_points(family, N, p, rng)
-            ratio = _sparse_ratio(fpts, gpts, N, s, p, params, weighted)
-            rows.append(
-                {"N": int(N), "trial": int(trial), "family": family, "ratio": float(ratio)}
-            )
+            ratio = fixed.get(family)
+            if ratio is None:
+                rng = sweep_trial_rng(seed, N, trial) if family == "random" else None
+                fpts, gpts = family_points(family, N, p, rng)
+                ratio = float(_sparse_ratio(fpts, gpts, N, s, p, params, weighted))
+                if family != "random":
+                    fixed[family] = ratio
+            rows.append({"N": int(N), "trial": int(trial), "family": family, "ratio": ratio})
     return rows
 
 
@@ -682,12 +695,15 @@ def time_localization_check(f, T, s, p):
     transform; the result's X^{s,0}_p norm is compared against
     T^{1/p} * X^{s,1/2}_p of the input. Returns 0 for zero input.
     """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"time_localization_check needs a finite T > 0, got {T}")
     den = T ** (1.0 / p) * bourgain_norm(f, s, 0.5, p)
     if den == 0.0:
         return 0.0
     L = f.L
-    diffs = (np.arange(2 * L - 1) - (L - 1)) * f.dtau
-    ker = (2.0 * T / (2.0 * np.pi)) * bump_transform(2.0 * T * diffs)
+    # the kernel is even: evaluate offsets 0..L-1 and mirror them to -(L-1)..L-1
+    half = bump_transform(2.0 * T * (np.arange(L) * f.dtau))
+    ker = (2.0 * T / (2.0 * np.pi)) * np.concatenate([half[:0:-1], half])
     from scipy.signal import fftconvolve
 
     conv = fftconvolve(f.values, ker[None, :], mode="full", axes=1)[:, L - 1 : 2 * L - 1]

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 import oracles
+from kdvnoise import estimates
 from kdvnoise.estimates import (
     SpaceTimeCoeffs,
     WeightParams,
@@ -351,6 +353,47 @@ class TestRatioSweep:
         with pytest.raises(ValueError, match="finite p"):
             bilinear_ratio_sweep(-0.49, p, WeightParams(C=3), [6], trials=4, seed=13)
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"N_list": [0]}, "N >= 2"),
+            ({"N_list": [1]}, "N >= 2"),
+            ({"N_list": [8, 1]}, "N >= 2"),
+            ({"p": 0.5}, "p >= 1"),
+            ({"trials": -3}, "trials >= 0"),
+        ],
+    )
+    def test_schema_rules_enforced(self, change, match):
+        # these returned ratio-0.0 rows, finite ratios below p = 1, or [] silently
+        args = {"s": -0.49, "p": 2.1, "params": WeightParams(), "N_list": [8], "trials": 4, "seed": 1}
+        with pytest.raises(ValueError, match=match):
+            bilinear_ratio_sweep(**(args | change))
+
+    @pytest.mark.parametrize(
+        "params, weighted", [(WeightParams(), True), (WeightParams(delta=1e-12), False)]
+    )
+    def test_fixed_families_computed_once_per_call(self, monkeypatch, params, weighted):
+        s, p, N_list, trials, seed = -0.49, 2.1, [8, 16], 9, 4
+        sparse_ratio = estimates._sparse_ratio
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return sparse_ratio(*args)
+
+        monkeypatch.setattr(estimates, "_sparse_ratio", counting)
+        rows = bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=weighted)
+        # trials 0..8 cycle the four families: one call each for the three
+        # fixed ones, plus the random trials 3 and 7, at each N
+        assert calls == [8] * 5 + [16] * 5
+        calls.clear()
+        assert bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=weighted) == rows
+        assert len(calls) == 10  # nothing is cached across calls
+        for r in rows:
+            rng = sweep_trial_rng(seed, r["N"], r["trial"])
+            fpts, gpts = family_points(r["family"], r["N"], p, rng)
+            assert r["ratio"] == sparse_ratio(fpts, gpts, r["N"], s, p, params, weighted)
+
     def test_sparse_matches_dense_route(self):
         # recompute one sweep ratio through the dense public operations
         s, p = -0.49, 2.1
@@ -488,9 +531,23 @@ class TestTimeLocalization:
 
     def test_bump_transform_even_real(self):
         for xi in (0.0, 0.7, -0.7, 3.0):
-            v = bump_transform(xi)
-            assert np.isreal(v)
-            assert bump_transform(-xi) == pytest.approx(v, rel=1e-12)
+            assert np.isreal(bump_transform(xi))
+        xi = 0.3 * np.arange(5000)
+        assert np.array_equal(bump_transform(-xi), bump_transform(xi))
+
+    @pytest.mark.parametrize("T", [-0.5, 0.0, np.nan, np.inf])
+    def test_bad_T_rejected(self, T):
+        # T = -0.5 gave a complex ratio, T = 0 gave 0.0, nan/inf warned first
+        f = free_curve_profile(4)
+        with pytest.raises(ValueError, match="finite T > 0"):
+            time_localization_check(f, T, -0.49, 2.1)
+
+    @pytest.mark.parametrize("T", [2.0**-k for k in range(7)] + [0.3])
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_mirrored_kernel_matches_two_sided(self, N, T):
+        f = free_curve_profile(N)
+        got = time_localization_check(f, T, -0.49, 2.1)
+        assert got == pytest.approx(two_sided_time_localization(f, T, -0.49, 2.1), rel=1e-15, abs=0)
 
     def test_zero_input(self):
         f = SpaceTimeCoeffs.zeros(4, tau_max=64.0, dtau=0.5)
@@ -514,3 +571,14 @@ def free_curve_profile(N):
         amp = 2.0 ** (-j / p) * f.dtau ** (-1 / p)
         f.values[i, f.col(float(n**3))] = amp
     return f
+
+
+def two_sided_time_localization(f, T, s, p):
+    """time_localization_check with the kernel evaluated on all 2L-1 offsets."""
+    den = T ** (1.0 / p) * bourgain_norm(f, s, 0.5, p)
+    L = f.L
+    diffs = (np.arange(2 * L - 1) - (L - 1)) * f.dtau
+    ker = (2.0 * T / (2.0 * np.pi)) * bump_transform(2.0 * T * diffs)
+    conv = fftconvolve(f.values, ker[None, :], mode="full", axes=1)[:, L - 1 : 2 * L - 1]
+    loc = SpaceTimeCoeffs(f.N, f.tau_max, f.dtau, conv * f.dtau)
+    return bourgain_norm(loc, s, 0.0, p) / den
