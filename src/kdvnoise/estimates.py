@@ -17,8 +17,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.integrate import quad
 
 from .spectral import _block_index, _block_reduce, bracket
 
@@ -328,6 +326,8 @@ def bilinear_form(f, g, s, params, weighted=True):
     tau-convolution measure dtau, times <tau-n^3>^(-1/2); den_j is
     <tau_j-n_j^3>^(1/2), weighted additionally by w(n_j,tau_j).
     """
+    from scipy.fft import next_fast_len
+
     if (f.N, f.tau_max, f.dtau) != (g.N, g.tau_max, g.dtau):
         raise ValueError("inputs must share one lattice")
     N, L, dtau = f.N, f.L, f.dtau
@@ -531,6 +531,8 @@ def bracket_product_integral(alpha, beta, a):
     bracket [x]_+ means x when positive, 0.01 when exactly 0 (the "0+" case),
     and 0 when negative. Returns (value, value * <a>^gamma).
     """
+    from scipy.integrate import quad
+
     if not 0 <= alpha <= beta:
         raise ValueError("need 0 <= alpha <= beta")
     if not alpha + beta > 0.5:
@@ -682,10 +684,32 @@ def bump_transform(xi):
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     out = np.empty(xi_arr.size)
     chunk = 2048
+    buf = np.empty((min(chunk, xi_arr.size), t.size))  # one chunk's phases, then cosines
     for lo in range(0, xi_arr.size, chunk):
         seg = xi_arr[lo : lo + chunk]
-        out[lo : lo + chunk] = 2.0 * (np.cos(np.outer(seg, t)) @ bw)
+        phase = np.outer(seg, t, out=buf[: seg.size])
+        out[lo : lo + chunk] = 2.0 * (np.cos(phase, out=phase) @ bw)
     return float(out[0]) if np.isscalar(xi) else out.reshape(np.shape(xi))
+
+
+def _bump_transform_grid(step, L):
+    """bump_transform(step * k) for k = 0..L-1 by one chirp-z transform.
+
+    The same quadrature sum as bump_transform, with node t_j = j/(J-1): by
+    k*j = (k^2 + j^2 - (k-j)^2)/2 it is a chirp times one linear convolution
+    of bw_j e^{iwj^2/2} against e^{-iwm^2/2}, m = -(J-1)..L-1, w = step/(J-1).
+    The period covers the whole linear convolution, so nothing wraps.
+    """
+    _t, bw = _bump_quadrature()
+    J = bw.size
+    w = step / (J - 1)
+    j = np.arange(J, dtype=float)
+    m = np.arange(-(J - 1), L, dtype=float)
+    n = 1 << (2 * J + L - 3).bit_length()  # a power of two >= 2J+L-2
+    chirped = np.fft.fft(bw * np.exp(0.5j * w * j**2), n)
+    conv = np.fft.ifft(chirped * np.fft.fft(np.exp(-0.5j * w * m**2), n))
+    k = np.arange(L, dtype=float)
+    return 2.0 * (np.exp(0.5j * w * k**2) * conv[J - 1 : J - 1 + L]).real
 
 
 def time_localization_check(f, T, s, p):
@@ -697,15 +721,18 @@ def time_localization_check(f, T, s, p):
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"time_localization_check needs a finite T > 0, got {T}")
+    if not p >= 1:
+        raise ValueError(f"time_localization_check needs p >= 1, got {p}")
     den = T ** (1.0 / p) * bourgain_norm(f, s, 0.5, p)
     if den == 0.0:
         return 0.0
     L = f.L
     # the kernel is even: evaluate offsets 0..L-1 and mirror them to -(L-1)..L-1
-    half = bump_transform(2.0 * T * (np.arange(L) * f.dtau))
+    half = _bump_transform_grid(2.0 * T * f.dtau, L)
     ker = (2.0 * T / (2.0 * np.pi)) * np.concatenate([half[:0:-1], half])
-    from scipy.signal import fftconvolve
-
-    conv = fftconvolve(f.values, ker[None, :], mode="full", axes=1)[:, L - 1 : 2 * L - 1]
+    # full linear outputs L-1..2L-2 only: at a period >= 2L-1 no wrap reaches them
+    n = 1 << (2 * L - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(f.values, n, axis=1) * np.fft.fft(ker, n), axis=1)
+    conv = conv[:, L - 1 : 2 * L - 1]
     loc = SpaceTimeCoeffs(f.N, f.tau_max, f.dtau, conv * f.dtau)
     return bourgain_norm(loc, s, 0.0, p) / den

@@ -6,6 +6,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -774,6 +776,20 @@ class TestReadme:
 
 
 class TestCliGeneral:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported inside the two oracles that use it, not on import
+        src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, kdvnoise.cli; "
+            "print([m for m in ('scipy.fft', 'scipy.integrate', 'scipy.signal') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_unknown_subcommand(self, tmp_path, capsys):
         assert main(["frobnicate"]) == 2
         assert_one_config_error(capsys)

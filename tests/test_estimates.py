@@ -542,6 +542,22 @@ class TestTimeLocalization:
         with pytest.raises(ValueError, match="finite T > 0"):
             time_localization_check(f, T, -0.49, 2.1)
 
+    @pytest.mark.parametrize("p", [0.5, 0.0, np.nan])
+    def test_bad_p_rejected(self, p):
+        # p = 0.5 gave a ratio of 461.65, p = nan gave nan, p = 0 divided by zero
+        f = free_curve_profile(4)
+        with pytest.raises(ValueError, match="p >= 1"):
+            time_localization_check(f, 0.5, -0.49, p)
+
+    @pytest.mark.parametrize("step, L", [
+        (2.0 * T * 0.5, SpaceTimeCoeffs.zeros(N).L)
+        for N in (4, 8) for T in [2.0**-k for k in range(7)] + [0.3]
+    ] + [(0.3, 3)])
+    def test_grid_kernel_matches_direct(self, step, L):
+        want = bump_transform(step * np.arange(L))
+        got = estimates._bump_transform_grid(step, L)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("T", [2.0**-k for k in range(7)] + [0.3])
     @pytest.mark.parametrize("N", [4, 8])
     def test_mirrored_kernel_matches_two_sided(self, N, T):
