@@ -29,7 +29,9 @@ from .spectral import FourierField, NormSpec
 
 __all__ = ["main"]
 
-_TIME_LOC_MAX_N = 16  # time localization's table: 2N x (16N^3+1) complex, 34 MB at N=16
+# time localization's table is 2N x (16N^3+1) complex, 34 MB at N=16; an
+# estimates run with n_list 16,32 peaks at 146 MB RSS
+_TIME_LOC_MAX_N = 16
 
 
 def _fail(code, message):

@@ -653,6 +653,7 @@ def resonance_set_integral(n, exponent, c0=1.0):
 # -------------------------------------------------------- time localization
 
 _BUMP_NODES = 4097
+_TIME_LOC_CHUNK = 1 << 18  # complex entries per chunk of transformed rows (4 MiB)
 
 
 def _smoothstep(x):
@@ -732,7 +733,15 @@ def time_localization_check(f, T, s, p):
     ker = (2.0 * T / (2.0 * np.pi)) * np.concatenate([half[:0:-1], half])
     # full linear outputs L-1..2L-2 only: at a period >= 2L-1 no wrap reaches them
     n = 1 << (2 * L - 2).bit_length()
-    conv = np.fft.ifft(np.fft.fft(f.values, n, axis=1) * np.fft.fft(ker, n), axis=1)
-    conv = conv[:, L - 1 : 2 * L - 1]
-    loc = SpaceTimeCoeffs(f.N, f.tau_max, f.dtau, conv * f.dtau)
+    ker_hat = np.fft.fft(ker, n)
+    # a chunk of rows at a time bounds the transformed copy; numpy.fft transforms
+    # each row alike however many rows a call holds, so the bits do not change
+    step = max(1, _TIME_LOC_CHUNK // n)
+    conv = np.empty_like(f.values)
+    for r0 in range(0, conv.shape[0], step):
+        seg = np.fft.fft(f.values[r0 : r0 + step], n, axis=1)
+        seg *= ker_hat
+        np.fft.ifft(seg, axis=1, out=seg)
+        np.multiply(seg[:, L - 1 : 2 * L - 1], f.dtau, out=conv[r0 : r0 + step])
+    loc = SpaceTimeCoeffs(f.N, f.tau_max, f.dtau, conv)
     return bourgain_norm(loc, s, 0.0, p) / den

@@ -7,15 +7,15 @@ stream_start+i: the N real parts, then the N imaginary parts, drawn by
 default_rng(SeedSequence([seed, stream])). Any member of any ensemble can
 therefore be regenerated from (seed, stream), independently of batch layout.
 
-sample_batch builds none of those per-row objects. It hashes the
-SeedSequence pools and generate_state words of 512 streams at once in uint32
-arithmetic, turns each row's four words into the PCG64 (state, inc) by the
-128-bit set-seed step, assigns that state to one PCG64 and draws the row's 2N
-normals with one call (the ziggurat keeps no cache between calls, so this
-equals the two N-draws). NumPy's random policy (NEP 19) keeps the
-SeedSequence hash, PCG64 seeding and the normal stream fixed across
-releases, and the tests compare every row byte for byte with the per-row
-construction.
+The sampling loop behind sample_batch and tail_sweep builds none of those
+per-row objects. It hashes the SeedSequence pools and generate_state words
+of 512 streams at once in uint32 arithmetic, turns each row's four words
+into the PCG64 (state, inc) by the 128-bit set-seed step, assigns that state
+to one PCG64 and draws the row's 2N normals with one call (the ziggurat
+keeps no cache between calls, so this equals the two N-draws). NumPy's
+random policy (NEP 19) keeps the SeedSequence hash, PCG64 seeding and the
+normal stream fixed across releases, and the tests compare every row byte
+for byte with the per-row construction.
 """
 from __future__ import annotations
 
@@ -25,7 +25,9 @@ import operator
 
 import numpy as np
 
-from .spectral import FourierField, besov_norm_batch, l2_mass
+# besov_norm_batch stays importable from here: bench/workloads.py traces
+# noise.besov_norm_batch
+from .spectral import FourierField, _besov_norm_rows, besov_norm_batch, l2_mass  # noqa: F401
 
 __all__ = [
     "GaussianSampleSpec",
@@ -152,13 +154,16 @@ def _pcg_states(seed, start, stop):
     return out
 
 
-def sample_batch(N, count, seed, stream_start=0):
-    """(count, N) coefficient rows; row i is exactly the stream_start+i stream."""
-    seed, stream_start = operator.index(seed), operator.index(stream_start)
-    if seed < 0 or stream_start < 0:
-        raise ValueError("seed and stream must be nonnegative")
-    out = np.empty((count, N), dtype=np.complex128)
-    # each row's N real then N imaginary parts, one block of rows at a time
+def _sample_blocks(N, count, seed, stream_start, out=None):
+    """The sampling loop: rows stream_start..stream_start+count of seed.
+
+    Each pass hashes the PCG states of up to _BLOCK streams and draws their
+    rows into one parts buffer. The rows go into out[b0:b1] when out is
+    given, else into one reused (<= _BLOCK, N) block, which the next pass
+    overwrites. Yields (b0, block) for each filled block.
+    """
+    block = None if out is not None else np.empty((min(count, _BLOCK), N), dtype=np.complex128)
+    # each row's N real then N imaginary parts
     parts = np.empty((min(count, _BLOCK), 2 * N))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
@@ -174,8 +179,30 @@ def sample_batch(N, count, seed, stream_start=0):
             }
             gen.standard_normal(out=row)
         rows = parts[: b1 - b0].reshape(b1 - b0, 2, N)
-        out[b0:b1].real = rows[:, 0]
-        out[b0:b1].imag = rows[:, 1]
+        dest = out[b0:b1] if out is not None else block[: b1 - b0]
+        dest.real = rows[:, 0]
+        dest.imag = rows[:, 1]
+        yield b0, dest
+
+
+def _check_rows(N, count, seed, stream_start):
+    """seed and stream_start as ints, after checking every argument's range."""
+    seed, stream_start = operator.index(seed), operator.index(stream_start)
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    if seed < 0 or stream_start < 0:
+        raise ValueError("seed and stream must be nonnegative")
+    return seed, stream_start
+
+
+def sample_batch(N, count, seed, stream_start=0):
+    """(count, N) coefficient rows; row i is exactly the stream_start+i stream."""
+    seed, stream_start = _check_rows(N, count, seed, stream_start)
+    out = np.empty((count, N), dtype=np.complex128)
+    for _ in _sample_blocks(N, count, seed, stream_start, out):
+        pass
     return out
 
 
@@ -197,13 +224,27 @@ def _wilson(count, n):
     denom = 1.0 + _Z99 * _Z99 / n
     center = (p + _Z99 * _Z99 / (2 * n)) / denom
     half = (_Z99 / denom) * math.sqrt(p * (1 - p) / n + _Z99 * _Z99 / (4 * n * n))
-    return max(0.0, center - half), min(1.0, center + half)
+    # center -/+ half is exactly 0 at count 0 and exactly 1 at count n, but
+    # not in floating point
+    lo = 0.0 if count == 0 else max(0.0, center - half)
+    hi = 1.0 if count == n else min(1.0, center + half)
+    return lo, hi
 
 
 def tail_sweep(norm_spec, N, Ks, samples, seed):
-    """Tail estimates over a K grid from one shared batch of norms."""
-    batch = sample_batch(N, samples, seed)
-    norms = besov_norm_batch(batch, norm_spec)
+    """Tail estimates over a K grid from the norms of streams 0..samples-1.
+
+    Each block of the sampling loop is normed as it is drawn, so memory holds
+    one block and the samples norms however large samples is. A row's norm
+    depends on that row only, so the counts equal those of the whole batch.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    seed, _ = _check_rows(N, samples, seed, 0)
+    norms = np.empty(samples)
+    weighted = np.empty((min(samples, _BLOCK), N))
+    for b0, block in _sample_blocks(N, samples, seed, 0):
+        norms[b0 : b0 + len(block)] = _besov_norm_rows(block, norm_spec, weighted[: len(block)])
     rows = []
     for K in Ks:
         count = int(np.sum(norms > K))

@@ -190,8 +190,15 @@ def besov_norm_batch(coeffs, spec):
     count, N = coeffs.shape
     if count == 0:
         return np.zeros(0)
-    n = np.arange(1, N + 1, dtype=float)
-    weighted = bracket(n) ** spec.s * np.abs(coeffs)
+    return _besov_norm_rows(coeffs, spec, np.empty((count, N)))
+
+
+def _besov_norm_rows(coeffs, spec, weighted):
+    """besov_norm_batch of nonempty rows, with weighted a float scratch of their shape."""
+    n = np.arange(1, coeffs.shape[1] + 1, dtype=float)
+    # |c_n| * <n>^s in place: the same products as <n>^s * |c_n|
+    np.abs(coeffs, out=weighted)
+    weighted *= bracket(n) ** spec.s
     if not math.isinf(spec.p):
         # factor 2: every positive mode has a mirror of equal magnitude
         weighted **= spec.p

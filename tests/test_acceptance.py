@@ -16,6 +16,7 @@ measurements:
   2^14 -> 2^20, each by more than 2 standard errors of the 200-seed median.
 """
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,7 +133,13 @@ def test_acceptance_4_measure_invariance(capsys):
 def test_acceptance_5_fernique_tail(capsys):
     t0 = time.perf_counter()
     spec = NormSpec(-0.49, 2.1, np.inf)
-    rows = tail_sweep(spec, 256, np.arange(1.8, 3.31, 0.2), 10**5, 20260821)
+    # the peak is reported only; tracing every allocation slows the sweep ~4x
+    tracemalloc.start()
+    try:
+        rows = tail_sweep(spec, 256, np.arange(1.8, 3.31, 0.2), 10**5, 20260821)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     fit = fit_log_tail(rows)
     dt = time.perf_counter() - t0
     hi = fit["slope"] + 2.576 * fit["slope_se"]
@@ -140,7 +147,8 @@ def test_acceptance_5_fernique_tail(capsys):
     report(
         capsys, 5, "fernique-tail", ok,
         f"slope {fit['slope']:.3f} per K^2, 99% CI upper {hi:.3f}, "
-        f"{fit['n_points']} usable K values, {dt:.0f}s",
+        f"{fit['n_points']} usable K values, sweep traced peak {peak / 1e6:.1f} MB, "
+        f"{dt:.0f}s traced",
     )
 
 

@@ -565,6 +565,14 @@ class TestTimeLocalization:
         got = time_localization_check(f, T, -0.49, 2.1)
         assert got == pytest.approx(two_sided_time_localization(f, T, -0.49, 2.1), rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_chunks_match_one_chunk(self, monkeypatch, rows):
+        # N = 4 fits one chunk (8 rows at period 4096); 3 leaves a short last chunk
+        f = free_curve_profile(4)
+        whole = [time_localization_check(f, T, -0.49, 2.1) for T in (1.0, 0.3)]
+        monkeypatch.setattr(estimates, "_TIME_LOC_CHUNK", rows * 4096)
+        assert [time_localization_check(f, T, -0.49, 2.1) for T in (1.0, 0.3)] == whole
+
     def test_zero_input(self):
         f = SpaceTimeCoeffs.zeros(4, tau_max=64.0, dtau=0.5)
         assert time_localization_check(f, 1.0, -0.49, 2.1) == 0.0

@@ -8,6 +8,7 @@ import pytest
 
 from kdvnoise.noise import (
     GaussianSampleSpec,
+    _wilson,
     decay_median_curve,
     decay_ratio,
     fit_log_tail,
@@ -16,7 +17,7 @@ from kdvnoise.noise import (
     sample_batch,
     tail_sweep,
 )
-from kdvnoise.spectral import FourierField, NormSpec, l2_mass
+from kdvnoise.spectral import FourierField, NormSpec, besov_norm_batch, l2_mass
 
 INF = math.inf
 
@@ -122,6 +123,54 @@ class TestStreamExactness:
         assert peak < 1.25 * out.nbytes
 
 
+class TestArgumentErrors:
+    def test_sample_batch_needs_a_cutoff(self):
+        with pytest.raises(ValueError, match="N must be positive"):
+            sample_batch(0, 3, 0)
+
+    def test_sample_batch_negative_count(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_batch(4, -1, 0)
+
+    def test_tail_sweep_needs_samples(self):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            tail_sweep(NormSpec(-0.49, 2.1, INF), 8, [1.0], 0, 1)
+
+    def test_tail_sweep_needs_a_cutoff(self):
+        with pytest.raises(ValueError, match="N must be positive"):
+            tail_sweep(NormSpec(-0.49, 2.1, INF), 0, [1.0], 10, 1)
+
+
+class TestTailStream:
+    """tail_sweep norms the sampling loop's blocks as they are drawn."""
+
+    @pytest.mark.parametrize("q", [2.0, INF])
+    @pytest.mark.parametrize("samples", [1, 511, 512, 513, 1100])
+    @pytest.mark.parametrize("N", [1, 5, 256])
+    def test_norms_equal_the_whole_batch(self, N, samples, q):
+        # counts above every whole-batch norm and above the float just below
+        # it pin down how many streamed norms equal each value, bit for bit
+        spec = NormSpec(-0.49, 2.1, q)
+        norms = np.sort(besov_norm_batch(sample_batch(N, samples, 17), spec))
+        Ks = np.concatenate([norms, np.nextafter(norms, -INF)])
+        rows = tail_sweep(spec, N, Ks, samples, 17)
+        assert [r["count"] for r in rows] == [int(np.sum(norms > K)) for K in Ks]
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        spec = NormSpec(-0.49, 2.1, INF)
+        tail_sweep(spec, 256, [2.0], 10, 0)  # one-time allocations of a first call
+        peaks = {}
+        for samples in (2000, 20000):
+            tracemalloc.start()
+            try:
+                tail_sweep(spec, 256, np.arange(1.8, 3.31, 0.2), samples, 0)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20000] <= 1.1 * peaks[2000]
+        assert peaks[20000] < 8e6
+
+
 class TestLogDensity:
     def test_zero(self):
         assert log_density_unnormalized(FourierField.zeros(4)) == 0.0
@@ -158,6 +207,13 @@ class TestTails:
             assert r["estimate"] <= r["wilson_high"] <= 1.0
         assert rows[-1]["censored"]  # no sample exceeds K=50
         assert not rows[0]["censored"]
+
+    def test_wilson_endpoints_exact(self):
+        for n in (5, 5000, 10**5):
+            lo, hi = _wilson(0, n)
+            assert lo == 0.0 and 0.0 < hi < 1.0
+            lo, hi = _wilson(n, n)
+            assert hi == 1.0 and 0.0 < lo < 1.0
 
     def test_fit_slope_negative(self):
         spec = NormSpec(-0.49, 2.1, INF)
