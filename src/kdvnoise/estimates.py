@@ -741,7 +741,7 @@ def time_localization_check(f, T, s, p):
     for r0 in range(0, conv.shape[0], step):
         seg = np.fft.fft(f.values[r0 : r0 + step], n, axis=1)
         seg *= ker_hat
-        np.fft.ifft(seg, axis=1, out=seg)
+        seg = np.fft.ifft(seg, axis=1)
         np.multiply(seg[:, L - 1 : 2 * L - 1], f.dtau, out=conv[r0 : r0 + step])
     loc = SpaceTimeCoeffs(f.N, f.tau_max, f.dtau, conv)
     return bourgain_norm(loc, s, 0.0, p) / den

@@ -15,8 +15,8 @@ measurements:
   after, so the check asserts the rise 2^9 -> 2^13 and the fall
   2^14 -> 2^20, each by more than 2 standard errors of the 200-seed median.
 """
+import resource
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,24 +131,22 @@ def test_acceptance_4_measure_invariance(capsys):
 
 
 def test_acceptance_5_fernique_tail(capsys):
+    # the process's peak RSS is reported only: it costs nothing to read, and
+    # it stays flat when the sweep needs less than what ran before it
+    rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t0 = time.perf_counter()
     spec = NormSpec(-0.49, 2.1, np.inf)
-    # the peak is reported only; tracing every allocation slows the sweep ~4x
-    tracemalloc.start()
-    try:
-        rows = tail_sweep(spec, 256, np.arange(1.8, 3.31, 0.2), 10**5, 20260821)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows = tail_sweep(spec, 256, np.arange(1.8, 3.31, 0.2), 10**5, 20260821)
     fit = fit_log_tail(rows)
     dt = time.perf_counter() - t0
+    rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     hi = fit["slope"] + 2.576 * fit["slope_se"]
     ok = fit["slope"] < 0 and hi < 0 and dt < 300.0
     report(
         capsys, 5, "fernique-tail", ok,
         f"slope {fit['slope']:.3f} per K^2, 99% CI upper {hi:.3f}, "
-        f"{fit['n_points']} usable K values, sweep traced peak {peak / 1e6:.1f} MB, "
-        f"{dt:.0f}s traced",
+        f"{fit['n_points']} usable K values, process peak RSS "
+        f"{rss0 / 1024:.0f} -> {rss1 / 1024:.0f} MB, {dt:.0f}s",
     )
 
 
