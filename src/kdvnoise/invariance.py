@@ -53,6 +53,10 @@ def generate_control(N, count, seed, variance_factor=1.0, skew=0.0):
     x -> x + skew*(x^2 - 1) to each Gaussian component, which keeps the mean
     at zero but skews the marginals.
     """
+    if not (math.isfinite(variance_factor) and variance_factor >= 0):
+        raise ValueError(f"variance_factor must be finite and >= 0, got {variance_factor}")
+    if not math.isfinite(skew):
+        raise ValueError(f"skew must be finite, got {skew}")
     z = sample_batch(N, count, seed)
     re, im = z.real, z.imag
     if skew != 0.0:
@@ -170,6 +174,8 @@ def invariance_report(e0, eT, observables, alpha):
     is the conjunction. Mean/variance of both sides are attached with a
     combined Monte Carlo standard error for the mean difference.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if e0.N != eT.N:
         raise ValueError(f"cutoff mismatch: {e0.N} vs {eT.N}")
     if e0.count != eT.count:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from kdvnoise import flow
 from kdvnoise.flow import (
     FDProbeError,
     FlowConfig,
@@ -25,12 +26,20 @@ from kdvnoise.flow import (
     nonlinear_term,
     step,
 )
-from kdvnoise.noise import GaussianSampleSpec, sample
+from kdvnoise.noise import GaussianSampleSpec, sample, sample_batch
 from kdvnoise.spectral import FourierField, _dealias_length, l2_mass
 
 
 def wn(N, seed, stream=0):
     return sample(GaussianSampleSpec(N, seed, stream))
+
+
+# one cutoff on each side of the quadratic term's route threshold, with a
+# step whose resonance number dt * 3N^3/4 is below 1
+DENSE, FFT = flow._DENSE_MAX_N, flow._DENSE_MAX_N + 1
+ROUTES = pytest.mark.parametrize(
+    "N, dt", [(16, 2.0**-12), (FFT, 2.0**-16)], ids=["dense", "fft"]
+)
 
 
 class TestFlowConfig:
@@ -80,6 +89,20 @@ class TestNonlinearTerm:
         got = nonlinear_term(f).coeffs
         assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < 1e-11
 
+    @pytest.mark.parametrize("count", [1, 512, 513])
+    @pytest.mark.parametrize("N", [1, 2, 21, 22, DENSE, FFT])
+    def test_dense_route_matches_fft_route(self, N, count):
+        # both kernels on the same grid; at N=1 the term vanishes, so the
+        # bound there is absolute (the rows have unit variance)
+        M = _dealias_length(N)
+        rows = sample_batch(N, count, 81)
+        want = np.empty_like(rows)
+        buf = np.zeros((count, M // 2 + 1), dtype=complex)
+        flow._nonlinear_rows(rows, -0.5j * M * np.arange(1, N + 1), buf, want)
+        C, D = flow._dense_tables(N, M)
+        got = flow._dense_rows(rows, C, D, np.empty((count, M)), np.empty_like(rows))
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
     def test_hermitian(self):
         f = wn(8, 78)
         h = nonlinear_term(f)
@@ -109,7 +132,7 @@ class TestStep:
         g = step(FourierField.zeros(8), 1e-3)
         assert np.all(g.coeffs == 0)
 
-    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("N", [8, 16, FFT])
     def test_matches_naive_if_rk4(self, N):
         # the stage arithmetic against the formula written apart from src/
         dt = 2.0**-14
@@ -122,6 +145,17 @@ class TestStep:
             want = np.stack([oracles.if_rk4_step(r, dt) for r in want])
         got = evolve_batch(rows, FlowConfig(dt=dt, T=8 * dt))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            step(wn(8, 7), dt)
+
+    def test_zero_and_negative_dt(self):
+        f = wn(8, 7)
+        assert np.array_equal(step(f, 0.0).coeffs, f.coeffs)
+        back = evolve(f, FlowConfig(dt=1e-3, T=-1e-3))[-1][1]
+        assert np.array_equal(step(f, -1e-3).coeffs, back.coeffs)
 
     def test_richardson_order4(self):
         # self-convergence at a stable configuration
@@ -216,22 +250,33 @@ class TestEvolve:
             with pytest.raises(ValueError):
                 evolve_checkpoints(coeffs, cfg, times)
 
-    def test_chunked_runs_bit_exact(self):
+    @ROUTES
+    def test_chunked_runs_bit_exact(self, N, dt):
         # 1100 rows are three 512-row chunks, so workers 2 and 3 run chunks
-        # on separate threads, each with its own stage buffers
-        coeffs = np.stack([wn(8, 14, k).coeffs for k in range(1100)])
-        cfg = FlowConfig(dt=1e-3, T=0.02)
+        # on separate threads, each with its own stage buffers; BLAS keeps
+        # its default threading
+        coeffs = sample_batch(N, 1100, 14)
+        cfg = FlowConfig(dt=dt, T=20 * dt)
         runs = [evolve_batch(coeffs, cfg, workers=w) for w in (1, 2, 3)]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
-        states = list(evolve_checkpoints(coeffs, cfg, [0.005, 0.01, 0.02], workers=2))
+        states = list(evolve_checkpoints(coeffs, cfg, [5 * dt, 10 * dt, 20 * dt], workers=2))
         assert np.array_equal(states[-1][1], runs[0])
 
-    def test_default_workers_bit_exact(self):
+    @ROUTES
+    def test_default_workers_bit_exact(self, N, dt):
         # three chunks; the default runs them on every CPU the process may use
-        coeffs = np.stack([wn(8, 15, k).coeffs for k in range(1100)])
-        cfg = FlowConfig(dt=1e-3, T=0.01)
+        coeffs = sample_batch(N, 1100, 15)
+        cfg = FlowConfig(dt=dt, T=10 * dt)
         assert np.array_equal(evolve_batch(coeffs, cfg), evolve_batch(coeffs, cfg, workers=1))
+
+    def test_empty_times_rejected(self):
+        f = wn(8, 13)
+        cfg = FlowConfig(dt=1e-3, T=0.05)
+        with pytest.raises(ValueError, match="times"):
+            evolve_checkpoints(f.coeffs[None, :], cfg, [])
+        with pytest.raises(ValueError, match="times"):
+            evolve(f, cfg, checkpoints=[])
 
     def test_batch_worker_independence(self):
         coeffs = np.stack([wn(8, 11, k).coeffs for k in range(7)])

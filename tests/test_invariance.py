@@ -215,6 +215,29 @@ class TestInvarianceReport:
         assert np.array_equal(skewed.real, z.real + 0.3 * (z.real**2 - 1.0))
         assert np.array_equal(skewed.imag, z.imag + 0.3 * (z.imag**2 - 1.0))
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"variance_factor": float("nan")}, "variance_factor"),
+            ({"variance_factor": float("inf")}, "variance_factor"),
+            ({"variance_factor": -1.0}, "variance_factor"),
+            ({"skew": float("nan")}, "skew"),
+            ({"skew": float("-inf")}, "skew"),
+        ],
+    )
+    def test_control_rejects_bad_parameters(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            generate_control(8, 5, seed=55, **kwargs)
+
+    def test_control_allows_zero_variance(self):
+        assert np.all(generate_control(8, 5, seed=55, variance_factor=0.0).coeffs == 0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, 2.5, -0.1])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        a = generate(8, 10, seed=42)
+        with pytest.raises(ValueError, match="alpha"):
+            invariance_report(a, a, OBS, alpha=alpha)
+
     def test_skew_control_fails(self):
         a = generate(8, 4000, seed=53)
         bad = generate_control(8, 4000, seed=54, skew=0.8)
