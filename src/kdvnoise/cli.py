@@ -49,12 +49,28 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def _write_csv(out, name, h, columns, rows):
+# each CSV's columns in order, each with the format spec of its values
+_TABLES = {
+    "conservation.csv": "member,l2_drift_abs:.6e,l2_drift_rel:.6e,"
+                        "hamiltonian_drift_abs:.6e,hamiltonian_drift_rel:.6e",
+    "observables.csv": "name,D:.10g,threshold:.10g,passes:d,mean_a:.10g,mean_b:.10g,"
+                       "mean_se:.10g,var_a:.10g,var_b:.10g",
+    "tails.csv": "K:g,count,samples,estimate:.10g,stderr:.10g,wilson_low:.10g,"
+                 "wilson_high:.10g,censored:d",
+    "lemmas.csv": "name,value:.10g,note",
+    "estimates.csv": "N,trial,family,ratio:.10g,config_hash",
+    "time_localization.csv": "T:g,ratio:.10g,config_hash",
+}
+
+
+def _write_csv(out, name, h, rows):
+    """The stamp line, the header of _TABLES[name], then one line per row mapping."""
+    columns = [c.partition(":")[::2] for c in _TABLES[name].split(",")]
     with write_atomic(os.path.join(out, name), encoding="utf-8") as fh:
         fh.write(f"# tool=kdvnoise {__version__} config_hash={h}\n")
-        fh.write(columns + "\n")
+        fh.write(",".join(col for col, _ in columns) + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(",".join(format(row[col], spec) for col, spec in columns) + "\n")
 
 
 def _write_json(out, name, h, obj):
@@ -99,22 +115,13 @@ def cmd_evolve(cfg, h, out):
         final = _evolved(ens, fc, coeffs, t)
         save_ensemble(final, os.path.join(out, name))
 
-    rows = []
-    for i in range(ens.count):
-        f0 = FourierField(ens.N, ens.coeffs[i])
-        f1 = FourierField(final.N, final.coeffs[i])
-        rep = conservation_report([(0.0, f0), (cfg["T"], f1)])
-        rows.append(
-            f"{i},{rep['l2_drift_abs']:.6e},{rep['l2_drift_rel']:.6e},"
-            f"{rep['hamiltonian_drift_abs']:.6e},{rep['hamiltonian_drift_rel']:.6e}"
-        )
-    _write_csv(
-        out,
-        "conservation.csv",
-        h,
-        "member,l2_drift_abs,l2_drift_rel,hamiltonian_drift_abs,hamiltonian_drift_rel",
-        rows,
+    rows = (
+        dict(conservation_report([(0.0, FourierField(ens.N, ens.coeffs[i])),
+                                  (cfg["T"], FourierField(final.N, final.coeffs[i]))]),
+             member=i)
+        for i in range(ens.count)
     )
+    _write_csv(out, "conservation.csv", h, rows)
     return 0
 
 
@@ -125,19 +132,7 @@ def cmd_invariance(cfg, h, out):
     evolved = push_forward(base, fc)
     report = invariance_report(base, evolved, _headline_observables(), cfg["alpha"])
     _write_json(out, "report.json", h, report)
-    rows = [
-        f"{r['name']},{r['D']:.10g},{r['threshold']:.10g},{int(r['passes'])},"
-        f"{r['mean_a']:.10g},{r['mean_b']:.10g},{r['mean_se']:.10g},"
-        f"{r['var_a']:.10g},{r['var_b']:.10g}"
-        for r in report["observables"]
-    ]
-    _write_csv(
-        out,
-        "observables.csv",
-        h,
-        "name,D,threshold,passes,mean_a,mean_b,mean_se,var_a,var_b",
-        rows,
-    )
+    _write_csv(out, "observables.csv", h, report["observables"])
     return 0
 
 
@@ -158,41 +153,26 @@ def cmd_tails(cfg, h, out):
         raise ConfigError(f"empty K range: k_min={cfg['k_min']:g} > k_max={cfg['k_max']:g}")
     Ks = np.arange(cfg["k_min"], cfg["k_max"] + 0.5 * cfg["k_step"], cfg["k_step"])
     rows = tail_sweep(spec, cfg["N"], Ks, cfg["samples"], cfg["seed"])
-    lines = [
-        f"{r['K']:g},{r['count']},{r['samples']},{r['estimate']:.10g},"
-        f"{r['stderr']:.10g},{r['wilson_low']:.10g},{r['wilson_high']:.10g},"
-        f"{int(r['censored'])}"
-        for r in rows
-    ]
-    _write_csv(
-        out,
-        "tails.csv",
-        h,
-        "K,count,samples,estimate,stderr,wilson_low,wilson_high,censored",
-        lines,
-    )
+    _write_csv(out, "tails.csv", h, rows)
     _write_json(out, "tail_fit.json", h, fit_log_tail(rows))
     return 0
 
 
 def cmd_lemmas(cfg, h, out):
-    rows = []
-    val = resonance_residual_max(cfg["resonance_bound"])
-    rows.append(
-        f"resonance_exhaustive,{val},max |cubic residual| over |n_i|<={cfg['resonance_bound']}"
-    )
-    value, ratio = bracket_product_integral(0.5, 0.5, 1000.0)
-    rows.append(f"bracket_product,{ratio:.10g},decay ratio at alpha=beta=0.5 a=1000")
+    bound = cfg["resonance_bound"]
+    _, ratio = bracket_product_integral(0.5, 0.5, 1000.0)
     total, tail = quadratic_bracket_sum(1, 0.0, 1.0, 1.0, cfg["psum_cutoff"])
-    rows.append(f"quadratic_sum,{total:.10g},tail bound {tail:.3e}")
-    omega = resonance_set_integral(10, 0.75, c0=1.0)
-    rows.append(f"resonance_set,{omega:.10g},exponent 3/4 at n=10")
     med = decay_median_curve([cfg["decay_m_max"]], cfg["decay_delta"],
                              cfg["decay_seeds"], seed0=cfg["seed"])[0]
-    rows.append(
-        f"decay_ratio,{med:.10g},median at M={cfg['decay_m_max']} delta={cfg['decay_delta']:g}"
-    )
-    _write_csv(out, "lemmas.csv", h, "name,value,note", rows)
+    rows = [
+        ("resonance_exhaustive", resonance_residual_max(bound),
+         f"max |cubic residual| over |n_i|<={bound}"),
+        ("bracket_product", ratio, "decay ratio at alpha=beta=0.5 a=1000"),
+        ("quadratic_sum", total, f"tail bound {tail:.3e}"),
+        ("resonance_set", resonance_set_integral(10, 0.75, c0=1.0), "exponent 3/4 at n=10"),
+        ("decay_ratio", med, f"median at M={cfg['decay_m_max']} delta={cfg['decay_delta']:g}"),
+    ]
+    _write_csv(out, "lemmas.csv", h, (dict(name=n, value=v, note=t) for n, v, t in rows))
     return 0
 
 
@@ -204,16 +184,14 @@ def cmd_estimates(cfg, h, out):
     rows = bilinear_ratio_sweep(
         cfg["s"], cfg["p"], params, cfg["n_list"], cfg["trials"], cfg["seed"], weighted=True
     )
-    lines = [f"{r['N']},{r['trial']},{r['family']},{r['ratio']:.10g},{h}" for r in rows]
-    _write_csv(out, "estimates.csv", h, "N,trial,family,ratio,config_hash", lines)
+    _write_csv(out, "estimates.csv", h, (dict(r, config_hash=h) for r in rows))
     if cfg["time_loc"]:
         f = SpaceTimeCoeffs.from_points(N, family_points("free_curve", N, cfg["p"], None)[0])
-        tl_lines = []
-        for k in range(0, 7):
-            T = 2.0**-k
-            ratio = time_localization_check(f, T, cfg["s"], cfg["p"])
-            tl_lines.append(f"{T:g},{ratio:.10g},{h}")
-        _write_csv(out, "time_localization.csv", h, "T,ratio,config_hash", tl_lines)
+        tl_rows = (
+            {"T": T, "ratio": time_localization_check(f, T, cfg["s"], cfg["p"]), "config_hash": h}
+            for T in (2.0**-k for k in range(7))
+        )
+        _write_csv(out, "time_localization.csv", h, tl_rows)
     return 0
 
 

@@ -119,6 +119,13 @@ def ks_two_sample(a, b):
     return KsResult(D=float(np.max(np.abs(fa - fb))), m=a.size, n=b.size)
 
 
+def _column(n):
+    """Index of mode n in a coefficient row; modes start at 1."""
+    if n < 1:
+        raise ValueError(f"modes start at 1, got {n}")
+    return n - 1
+
+
 class ObservableSpec:
     """A named scalar functional evaluated member-wise on an ensemble."""
 
@@ -129,15 +136,18 @@ class ObservableSpec:
 
     @classmethod
     def mode_re(cls, n):
-        return cls(f"re_mode_{n}", lambda e: e.coeffs[:, n - 1].real.copy(), n)
+        i = _column(n)
+        return cls(f"re_mode_{n}", lambda e: e.coeffs[:, i].real.copy(), n)
 
     @classmethod
     def mode_im(cls, n):
-        return cls(f"im_mode_{n}", lambda e: e.coeffs[:, n - 1].imag.copy(), n)
+        i = _column(n)
+        return cls(f"im_mode_{n}", lambda e: e.coeffs[:, i].imag.copy(), n)
 
     @classmethod
     def mode_abs2(cls, n):
-        return cls(f"abs2_mode_{n}", lambda e: np.abs(e.coeffs[:, n - 1]) ** 2, n)
+        i = _column(n)
+        return cls(f"abs2_mode_{n}", lambda e: np.abs(e.coeffs[:, i]) ** 2, n)
 
     @classmethod
     def l2_mass(cls):
@@ -150,9 +160,10 @@ class ObservableSpec:
 
     @classmethod
     def pair_corr(cls, n, m):
+        i, j = _column(n), _column(m)
         return cls(
             f"pair_corr_{n}_{m}",
-            lambda e: (e.coeffs[:, n - 1] * np.conj(e.coeffs[:, m - 1])).real,
+            lambda e: (e.coeffs[:, i] * np.conj(e.coeffs[:, j])).real,
             max(n, m),
         )
 
@@ -180,6 +191,8 @@ def invariance_report(e0, eT, observables, alpha):
         raise ValueError(f"cutoff mismatch: {e0.N} vs {eT.N}")
     if e0.count != eT.count:
         raise ValueError(f"member count mismatch: {e0.count} vs {eT.count}")
+    if e0.count < 2:  # one member has no sample variance
+        raise ValueError(f"need at least 2 members per ensemble, got {e0.count}")
     if not observables:
         raise ValueError("need at least one observable")
     alpha_per = alpha / len(observables)

@@ -3,8 +3,9 @@
 Layout: an 8-byte magic string, a little-endian uint32 header length, the
 UTF-8 JSON header, then the raw complex128 payload (count x N, row-major,
 little-endian). The header carries a SHA-256 of the payload so corruption
-and truncation are detected on load. Serialization is canonical (sorted
-keys), so identical ensembles produce identical files. Every output file of
+and truncation are detected on load; a NaN or infinite coefficient is refused
+on save and on load. Serialization is canonical (sorted keys), so identical
+ensembles produce identical files. Every output file of
 the package is written through write_atomic, so a reader sees either the old
 file or the complete new one.
 """
@@ -55,7 +56,10 @@ def write_atomic(path, mode="w", **kwargs):
 
 
 def save_ensemble(ensemble, path):
-    payload = np.ascontiguousarray(ensemble.coeffs, dtype=_ITEM).tobytes()
+    coeffs = np.ascontiguousarray(ensemble.coeffs, dtype=_ITEM)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("ensemble coefficients must be finite")
+    payload = coeffs.tobytes()
     header = {
         "format_version": _FORMAT_VERSION,
         "N": int(ensemble.N),
@@ -128,6 +132,8 @@ def load_ensemble(path):
     if digest != header["payload_sha256"]:
         raise SnapshotError("payload checksum mismatch")
     coeffs = np.frombuffer(payload, dtype=_ITEM).reshape(count, N)
+    if not np.isfinite(coeffs).all():
+        raise SnapshotError("payload holds non-finite coefficients")
     return Ensemble(
         N=N,
         coeffs=coeffs.astype(np.complex128),

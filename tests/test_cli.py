@@ -1,5 +1,7 @@
 """End-to-end command-line and persistence contract tests."""
 import contextlib
+import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -51,6 +53,9 @@ def write_input(tmp_path, N, count, seed):
     path = tmp_path / f"in_{N}_{count}_{seed}.snap"
     save_ensemble(generate(N, count, seed=seed), path)
     return str(path)
+
+
+NON_FINITE = [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)]
 
 
 class TestSnapshots:
@@ -133,6 +138,24 @@ class TestSnapshots:
         with pytest.raises(SnapshotError):
             load_ensemble(p)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        coeffs = generate(4, 3, seed=1).coeffs.copy()
+        coeffs[1, 2] = bad
+        p = tmp_path / "e.snap"
+        write_coeffs_snap(p, coeffs)
+        with pytest.raises(SnapshotError, match="non-finite"):
+            load_ensemble(p)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_save_refuses_non_finite(self, tmp_path, bad):
+        e = generate(4, 3, seed=1)
+        coeffs = e.coeffs.copy()
+        coeffs[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            save_ensemble(dataclasses.replace(e, coeffs=coeffs), tmp_path / "e.snap")
+        assert list(tmp_path.iterdir()) == []
+
     def test_version_mismatch_rejected(self, tmp_path):
         e = generate(4, 1, seed=1)
         p = tmp_path / "e.snap"
@@ -153,6 +176,15 @@ def write_snap(path, header, payload=b""):
     path.write_bytes(magic + len(blob).to_bytes(4, "little") + blob + payload)
 
 
+def write_coeffs_snap(path, coeffs):
+    """A snapshot of coeffs with a valid header and checksum, bypassing save_ensemble."""
+    payload = np.ascontiguousarray(coeffs, dtype="<c16").tobytes()
+    count, N = coeffs.shape
+    write_snap(path, {"format_version": 1, "N": N, "count": count, "time": 0.0,
+                      "provenance": {}, "payload_sha256": hashlib.sha256(payload).hexdigest()},
+               payload)
+
+
 class TestAtomicWrites:
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -166,18 +198,19 @@ class TestAtomicWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
     def test_failed_csv_keeps_old_file(self, tmp_path):
-        path = tmp_path / "t.csv"
-        cli._write_csv(tmp_path, "t.csv", "0" * 12, "a,b", ["1,2", "3,4"])
+        path = tmp_path / "lemmas.csv"
+        row = {"name": "a", "value": 1.5, "note": "b"}
+        cli._write_csv(tmp_path, "lemmas.csv", "0" * 12, [row, row])
         old = path.read_bytes()
 
         def rows():
-            yield "5,6"
+            yield row
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError):
-            cli._write_csv(tmp_path, "t.csv", "0" * 12, "a,b", rows())
+            cli._write_csv(tmp_path, "lemmas.csv", "0" * 12, rows())
         assert path.read_bytes() == old
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lemmas.csv"]
 
     def test_failed_snapshot_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "e.snap"
@@ -599,6 +632,21 @@ class TestCmdEvolve:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert read_err(capsys)["error"]["code"] == "config"
 
+    @pytest.mark.parametrize("T", [0.0, 0.01])
+    def test_non_finite_input_exit_3(self, tmp_path, capsys, T):
+        coeffs = generate(4, 3, seed=1).coeffs.copy()
+        coeffs[1, 2] = NON_FINITE[0]
+        snap = tmp_path / "in.snap"
+        write_coeffs_snap(snap, coeffs)
+        cfg = write_ini(tmp_path / "c.ini", "evolve", input=str(snap), dt=1e-3, T=T)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == {
+            "code": "io", "message": "payload holds non-finite coefficients"}
+        assert not out.exists()
+
     def test_corrupt_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.snap"
         bad.write_bytes(b"garbage")
@@ -773,6 +821,15 @@ class TestReadme:
         assert set(table) == {p.stem for p in package.glob("*.py")} - {"__init__"}
         for name, names in table.items():
             assert names == sorted(importlib.import_module(f"kdvnoise.{name}").__all__), name
+
+    def test_csv_schemas_match_tables(self):
+        # each "CSV schemas" bullet names the columns, in order, that cli._TABLES writes
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        bullets = dict(re.findall(r"^\* `(\w+\.csv)`: `([^`]+)`", readme, flags=re.M))
+        assert bullets == {
+            name: ",".join(c.partition(":")[0] for c in spec.split(","))
+            for name, spec in cli._TABLES.items()
+        }
 
 
 class TestCliGeneral:

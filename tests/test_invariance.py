@@ -137,6 +137,15 @@ class TestObservables:
         with pytest.raises(ValueError):
             ObservableSpec.mode_re(9).evaluate(e)
 
+    @pytest.mark.parametrize("kind, modes", [
+        ("mode_re", (0,)), ("mode_im", (-1,)), ("mode_abs2", (0,)),
+        ("pair_corr", (0, 2)), ("pair_corr", (2, 0)),
+    ])
+    def test_mode_below_one_rejected(self, kind, modes):
+        # mode 0 would read mode N through negative indexing
+        with pytest.raises(ValueError, match="modes start at 1"):
+            getattr(ObservableSpec, kind)(*modes)
+
     def test_pair_corr_zero_mean_at_t0(self):
         count = 10**4
         e = generate(8, count, seed=34)
@@ -166,6 +175,12 @@ class TestInvarianceReport:
         b = generate(8, 11, seed=43)
         with pytest.raises(ValueError):
             invariance_report(a, b, OBS, alpha=0.01)
+
+    def test_one_member_rejected(self):
+        # one member has no sample variance: var_* and mean_se would be NaN
+        a = generate(8, 1, seed=42)
+        with pytest.raises(ValueError, match="at least 2 members per ensemble, got 1"):
+            invariance_report(a, a, OBS, alpha=0.01)
 
     def test_mismatched_cutoff(self):
         a = generate(8, 10, seed=42)
