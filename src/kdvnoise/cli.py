@@ -21,11 +21,11 @@ from .config import ConfigError, config_hash, load_config
 from .estimates import SpaceTimeCoeffs, WeightParams, bilinear_ratio_sweep, \
     bracket_product_integral, family_points, quadratic_bracket_sum, \
     resonance_residual_max, resonance_set_integral, time_localization_check
-from .flow import FlowConfig, IntegratorBlowupError, conservation_report, evolve_checkpoints
+from .flow import FlowConfig, IntegratorBlowupError, conservation_rows, evolve_checkpoints
 from .invariance import ObservableSpec, _evolved, generate, invariance_report, push_forward
 from .noise import decay_median_curve, fit_log_tail, tail_sweep
 from .snapshots import SnapshotError, load_ensemble, save_ensemble, write_atomic
-from .spectral import FourierField, NormSpec
+from .spectral import NormSpec
 
 __all__ = ["main"]
 
@@ -115,13 +115,8 @@ def cmd_evolve(cfg, h, out):
         final = _evolved(ens, fc, coeffs, t)
         save_ensemble(final, os.path.join(out, name))
 
-    rows = (
-        dict(conservation_report([(0.0, FourierField(ens.N, ens.coeffs[i])),
-                                  (cfg["T"], FourierField(final.N, final.coeffs[i]))]),
-             member=i)
-        for i in range(ens.count)
-    )
-    _write_csv(out, "conservation.csv", h, rows)
+    rows = conservation_rows(ens.coeffs, final.coeffs)
+    _write_csv(out, "conservation.csv", h, (dict(r, member=i) for i, r in enumerate(rows)))
     return 0
 
 

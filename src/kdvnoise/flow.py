@@ -1,9 +1,9 @@
 """Truncated dispersive evolution: integrating-factor RK4 in coefficient space.
 
-The stiff linear part (phase speed n^3) is handled exactly by unimodular
-phase factors; the quadratic transport term is evaluated pseudospectrally on
-a padded grid that follows the 3/2 rule: M > 3N points (the power of two
-above 3N) keep the aliases of the product off the retained modes. The
+The stiff linear part (phase speed n^3) is handled exactly by the unimodular
+phase factors E(t) = e^{i n^3 t}; the quadratic transport term F is
+evaluated pseudospectrally on a padded grid of M > 3N points (the 3/2
+rule), which keeps the aliases of the product off the retained modes. The
 integrating factor removes the linear phase but not the resonant one: the
 quadratic term carries phases e^{i 3 n n1 n2 t} with |3 n n1 n2| up to
 3N^3/4, and the explicit stages resolve them only while the step resonance
@@ -12,22 +12,35 @@ number dt * 3N^3/4 is of order 1 or below. That, not the advective bound
 advective bound is ~8.7e-4, yet the steps 5e-4 and 2.5e-4 (resonance
 numbers 98 and 49) blow up near t=0.12 and t=0.33.
 
-Two kernels evaluate the quadratic term on that grid, picked by N alone. Up
-to _DENSE_MAX_N = 42 (M <= 128) it is two dense real DFT products; on
-512-row chunks with one BLAS thread they took 171 against 355 us at N=16
-and 698 against 759 us at N=42, where numpy.fft pays mostly per-call and
-per-row overhead. Above it the irfft/rfft pair stays: even at N=48 and 1.3x
-faster at N=64 (M=256); for one row at N=256 it took 25 against 378 us.
+Each RK4 stage calls one kernel, G_c(x) = E(-c dt) F(E(c dt) x) with c = 0,
+1/2 or 1, so a stage is x = a + c dt k, k = G_c(x), and only the step's end
+multiplies by a phase. The three kernels' tables are built once per run and
+shared, read-only, by all of its chunks. Two kernels evaluate G_c, picked by
+N alone. Up to _DENSE_MAX_N = 64 they are two dense real DFT products with
+the phases folded into the tables, on the smallest grid their quadrant
+reduction allows, M = 4 floor(3N/4) + 4 (52 at N=16, 196 at N=64). Above it
+an irfft/rfft pair on the power of two above 3N takes the phases into the
+padded spectrum and the output scale. With one BLAS thread the products
+took 9 against 19 us for one row at N=64 and 1.1 against 1.9 ms for 512
+rows; at N=80 the FFT was even for 16 rows (README has the table).
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .spectral import FourierField, _dealias_length, hamiltonian, l2_mass
+from .spectral import (
+    FourierField,
+    _dealias_length,
+    _hamiltonian_rows,
+    _l2_rows,
+    hamiltonian,
+    l2_mass,
+)
 
 __all__ = [
     "FDProbeError",
@@ -35,6 +48,7 @@ __all__ = [
     "IntegratorBlowupError",
     "airy_propagate",
     "conservation_report",
+    "conservation_rows",
     "evolve",
     "evolve_batch",
     "evolve_checkpoints",
@@ -45,7 +59,7 @@ __all__ = [
 
 _BLOWUP_LIMIT = 1e8
 _CHUNK_ROWS = 512  # fixed so worker count never changes the arithmetic
-_DENSE_MAX_N = 42  # largest cutoff whose quadratic term uses the dense route
+_DENSE_MAX_N = 64  # largest cutoff whose quadratic term uses the dense route
 _FD_EPS = 1e-4  # central-difference step of the Liouville probes
 
 
@@ -101,82 +115,120 @@ class FlowConfig:
         return round(abs(self.T) / self.dt)
 
 
-def _nonlinear_rows(rows, scale, buf, out):
-    """-(in/2) (u^2)^(n) for each row of positive-mode coefficients, into out.
+def _dense_length(N):
+    # the smallest multiple of 4 above 3N: the 3/2 rule's bound, with the
+    # quarter-turn points _dense_tables needs on the grid
+    return 4 * (3 * N // 4) + 4
 
-    buf is the (count, M/2 + 1) padded spectrum, zero outside columns 1..N;
-    only those columns are rewritten. scale is -(in/2) times M: the factor M
-    of the grid values and the 1/M of the forward transform, both exact
-    powers of two, fold into it.
+
+def _dense_tables(N, M, ph):
+    """Tables (C, D) of the dense kernel x -> conj(ph) F(ph x) on the M-point grid.
+
+    With a row's coefficients read as interleaved floats (Re x_1, Im x_1,
+    ...), X @ C is the grid values of ph x, rows 2cos(n x_j + a_n) and
+    -2sin(n x_j + a_n) for ph = e^{i a}; u^2 @ D is conj(ph) F interleaved,
+    columns -n sin(n x_j + a_n)/(2M) and -n cos(n x_j + a_n)/(2M). Each grid
+    angle 2pi k/M is reduced exactly to its quadrant and the distance to the
+    nearest axis, so at ph = 1 the tables keep the grid's symmetries bit for
+    bit (cos 0 = 1 and cos(pi/2) = 0 exactly) as the FFT's twiddles do; the
+    phase then rotates each (cos, sin) pair.
     """
-    N = rows.shape[1]
-    M = 2 * (buf.shape[1] - 1)
-    buf[:, 1 : N + 1] = rows
-    u = np.fft.irfft(buf, M, axis=1)
-    u *= u
-    return np.multiply(np.fft.rfft(u, axis=1)[:, 1 : N + 1], scale, out=out)
-
-
-def _dense_tables(N, M):
-    """Real DFT matrices of the dense route at cutoff N on the M-point grid.
-
-    With a row's coefficients read as interleaved floats (Re c_1, Im c_1,
-    ...), X @ C is u on the grid, rows 2cos(n x_j) and -2sin(n x_j); u^2 @ D
-    is -(in/2)(u^2)^(n) interleaved, columns -n sin(n x_j)/(2M) and
-    -n cos(n x_j)/(2M). The angle 2pi ((n j) mod M)/M is reduced exactly to
-    its quadrant and the distance t to the nearest axis, so the tables keep
-    the grid's symmetries bit for bit (cos 0 = 1 and cos(pi/2) = 0 exactly)
-    as the FFT's twiddles do.
-    """
-    n = np.arange(1, N + 1)
-    Q = M // 4  # M is a power of two >= 4
-    quad, r = np.divmod(np.outer(n, np.arange(M)) % M, Q)
+    Q = M // 4  # M is a multiple of 4
+    quad, r = np.divmod(np.arange(M), Q)
     near = 2 * r <= Q
     t = 2.0 * np.pi * np.where(near, r, Q - r) / M
     c, s = np.cos(t), np.sin(t)
     c, s = np.where(near, c, s), np.where(near, s, c)
-    cos = np.choose(quad, [c, -s, -c, s])
-    sin = np.choose(quad, [s, c, -s, -c])
+    n = np.arange(1, N + 1)
+    k = np.outer(n, np.arange(M)) % M
+    cos = np.choose(quad, [c, -s, -c, s])[k]
+    sin = np.choose(quad, [s, c, -s, -c])[k]
+    pc, ps = ph.real[:, None], ph.imag[:, None]
+    cos, sin = pc * cos - ps * sin, ps * cos + pc * sin
     C = np.stack([2.0 * cos, -2.0 * sin], axis=1).reshape(2 * N, M)
     w = n[:, None] / (2.0 * M)
     D = np.stack([-w * sin, -w * cos], axis=1).reshape(2 * N, M).T.copy()
     return C, D
 
 
-def _dense_rows(rows, C, D, u, out):
-    """The quadratic term of _nonlinear_rows by two dense real products.
+def _dense_rows(rows, out, tables, buf):
+    """conj(ph) F(ph x) for each row x by two dense real products, into out.
 
-    C and D are _dense_tables(N, M); u is a (count, M) float buffer for the
-    grid values, rewritten whole.
+    tables are _dense_tables(N, M, ph); buf is a (count, M) float buffer
+    for the grid values, rewritten whole.
     """
-    np.matmul(rows.view(np.float64), C, out=u)
-    np.multiply(u, u, out=u)
-    np.matmul(u, D, out=out.view(np.float64))
+    C, D = tables
+    np.matmul(rows.view(np.float64), C, out=buf)
+    np.multiply(buf, buf, out=buf)
+    np.matmul(buf, D, out=out.view(np.float64))
     return out
 
 
-def _quadratic(N, count):
-    """The quadratic term for count rows at cutoff N: (rows, out) -> out.
+def _fft_tables(N, M, ph):
+    """Tables of the padded-FFT kernel x -> conj(ph) F(ph x) on the M-point grid.
 
-    Up to _DENSE_MAX_N it is _dense_rows, above it the padded-FFT pair of
-    _nonlinear_rows; both on the M-point grid of _dealias_length(N). The
-    tables and the buffer are made here, once per caller, and belong to the
-    returned function alone.
+    ph itself and scale = -(in/2) M conj(ph): the factor M of the grid values
+    and the 1/M of the forward transform, both exact powers of two, fold
+    into it.
     """
-    M = _dealias_length(N)
-    if N <= _DENSE_MAX_N:
-        C, D = _dense_tables(N, M)
-        u = np.empty((count, M))
-        return lambda rows, out: _dense_rows(rows, C, D, u, out)
-    scale = -0.5j * M * np.arange(1, N + 1)
-    buf = np.zeros((count, M // 2 + 1), dtype=np.complex128)
-    return lambda rows, out: _nonlinear_rows(rows, scale, buf, out)
+    return ph, -0.5j * M * np.arange(1, N + 1) * np.conj(ph)
+
+
+def _fft_rows(rows, out, tables, buf):
+    """conj(ph) F(ph x) for each row x by an irfft/rfft pair, into out.
+
+    tables are _fft_tables(N, M, ph); buf is the (count, M/2 + 1) padded
+    spectrum, zero outside columns 1..N; only those columns are rewritten.
+    """
+    ph, scale = tables
+    N = rows.shape[1]
+    M = 2 * (buf.shape[1] - 1)
+    np.multiply(ph, rows, out=buf[:, 1 : N + 1])
+    u = np.fft.irfft(buf, M, axis=1)
+    u *= u
+    return np.multiply(np.fft.rfft(u, axis=1)[:, 1 : N + 1], scale, out=out)
+
+
+class _Kernels:
+    """The kernels x -> conj(ph) F(ph x) at cutoff N, one per phase vector ph.
+
+    F is the quadratic term -(in/2)(u^2)^(n). Up to _DENSE_MAX_N it is
+    _dense_rows on the _dense_length(N) grid, above it _fft_rows on the
+    _dealias_length(N) grid. The tables are made here, once, and only read
+    afterwards, so every chunk of a run shares them; bind gives a chunk its
+    own grid buffer.
+    """
+
+    def __init__(self, N, phases):
+        self.phases = phases
+        self.dense = N <= _DENSE_MAX_N
+        self.M = _dense_length(N) if self.dense else _dealias_length(N)
+        make = _dense_tables if self.dense else _fft_tables
+        self.tables = [make(N, self.M, ph) for ph in phases]
+
+    def bind(self, count):
+        """One (rows, out) -> out kernel per phase for count rows, sharing one buffer."""
+        if self.dense:
+            kernel, buf = _dense_rows, np.empty((count, self.M))
+        else:
+            kernel, buf = _fft_rows, np.zeros((count, self.M // 2 + 1), dtype=np.complex128)
+        return [functools.partial(kernel, tables=t, buf=buf) for t in self.tables]
+
+
+def _stage_kernels(N, dt):
+    """The IF-RK4 stage kernels G_c = E(-c dt) F(E(c dt) .) for c = 0, 1/2, 1.
+
+    E is _airy_phase; the phase of the last, E(dt), also ends each step.
+    """
+    ph_h = _airy_phase(N, 0.5 * dt)
+    return _Kernels(N, [np.ones(N, dtype=np.complex128), ph_h, ph_h * ph_h])
 
 
 def nonlinear_term(f):
     """Quadratic transport term of the truncated system at a single state."""
     out = np.empty((1, f.N), dtype=np.complex128)
-    _quadratic(f.N, 1)(np.ascontiguousarray(f.coeffs[None, :]), out)
+    (F,) = _Kernels(f.N, [np.ones(f.N, dtype=np.complex128)]).bind(1)
+    F(np.ascontiguousarray(f.coeffs[None, :]), out)
     return FourierField(f.N, out[0])
 
 
@@ -193,38 +245,34 @@ def airy_propagate(f, t):
     return FourierField(f.N, f.coeffs * _airy_phase(f.N, t))
 
 
-def _rk4_chunk(rows, dt, nsteps, t0, first):
+def _rk4_chunk(rows, kernels, dt, nsteps, t0, first):
     """Integrating-factor RK4 on a (count, N) block; dt may be negative.
 
+    kernels are _stage_kernels(N, dt), whose tables the chunk only reads.
     t0 and first are the block's start time and first member index within
-    the run; they only place a blowup in the error message. The quadratic
-    term's kernel (_quadratic: its DFT tables or padded spectrum, and its
-    grid buffer), the four stages and the stage input are made once per
-    call, so concurrent chunks never share a buffer.
+    the run; they only place a blowup in the error message. The grid buffer,
+    the four stages and the stage input are made once per call, so
+    concurrent chunks never share a buffer.
     """
     count, N = rows.shape
-    ph_h = _airy_phase(N, 0.5 * dt)
-    ph_f = ph_h * ph_h
-    back_h, back_f = np.conj(ph_h), np.conj(ph_f)
-    quadratic = _quadratic(N, count)
+    G0, Gh, Gf = kernels.bind(count)
+    ph_f = kernels.phases[2]
     k1, k2, k3, k4, x = np.empty((5, count, N), dtype=np.complex128)
     a = rows.copy()
 
-    def stage(k_in, c, ph, back, k_out):
-        # k_out = conj(ph) * F(ph * (a + c*dt*k_in)), operands in this order:
-        # complex products may use fused multiply-adds, which do not commute
+    def stage(k_in, c, G, k_out):
+        # k_out = G_c(a + c*dt*k_in), operands in this order: complex
+        # products may use fused multiply-adds, which do not commute
         np.multiply(c * dt, k_in, out=x)
         np.add(a, x, out=x)
-        np.multiply(ph, x, out=x)
-        quadratic(x, k_out)
-        np.multiply(back, k_out, out=k_out)
+        G(x, k_out)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
-            quadratic(a, k1)
-            stage(k1, 0.5, ph_h, back_h, k2)
-            stage(k2, 0.5, ph_h, back_h, k3)
-            stage(k3, 1.0, ph_f, back_f, k4)
+            G0(a, k1)
+            stage(k1, 0.5, Gh, k2)
+            stage(k2, 0.5, Gh, k3)
+            stage(k3, 1.0, Gf, k4)
             # a = ph_f * (a + dt/6 * (((k1 + 2 k2) + 2 k3) + k4))
             np.multiply(2.0, k2, out=k2)
             np.add(k1, k2, out=k2)
@@ -243,7 +291,7 @@ def _rk4_chunk(rows, dt, nsteps, t0, first):
     return a
 
 
-def _run_batch(rows, dt, nsteps, workers, t0):
+def _run_batch(rows, kernels, dt, nsteps, workers, t0):
     count, N = rows.shape
     if count == 0 or nsteps == 0:
         return rows.copy()
@@ -255,7 +303,7 @@ def _run_batch(rows, dt, nsteps, workers, t0):
     def work(bounds):
         lo, hi = bounds
         try:
-            out[lo:hi] = _rk4_chunk(rows[lo:hi], dt, nsteps, t0, lo)
+            out[lo:hi] = _rk4_chunk(rows[lo:hi], kernels, dt, nsteps, t0, lo)
             return None
         except IntegratorBlowupError as exc:
             return exc
@@ -280,7 +328,7 @@ def step(f, dt):
     """One integrator step of size dt; zero and negative dt are allowed."""
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    out = _rk4_chunk(f.coeffs[None, :], dt, 1, 0.0, 0)
+    out = _rk4_chunk(f.coeffs[None, :], _stage_kernels(f.N, dt), dt, 1, 0.0, 0)
     return FourierField(f.N, out[0])
 
 
@@ -291,8 +339,9 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     inclusive, and increasing; they are checked before the iterator is
     returned. States are yielded as they are reached, so a checkpointed run
     does the arithmetic of an uninterrupted one, and fixed 512-row chunks keep
-    it independent of the worker count. workers=None runs on every CPU the
-    process may use.
+    it independent of the worker count. The stage kernels' tables are built
+    once, when the iterator starts, and every chunk of every segment reads
+    them. workers=None runs on every CPU the process may use.
     """
     times = [float(t) for t in times]
     if not times:
@@ -308,9 +357,9 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
         raise ValueError("checkpoints must be increasing")
 
     def run(rows):
-        pos = 0
+        kernels, pos = _stage_kernels(rows.shape[1], dt), 0
         for t, k in zip(times, idx):
-            rows = _run_batch(rows, dt, k - pos, workers, pos * dt)
+            rows = _run_batch(rows, kernels, dt, k - pos, workers, pos * dt)
             pos = k
             yield t, rows
 
@@ -335,16 +384,7 @@ def evolve_batch(coeffs, cfg, workers=None):
     return final
 
 
-def conservation_report(traj):
-    """Drift of the tracked invariants between the first and last states.
-
-    The mean is absent from the representation, so its drift is identically
-    zero; it is reported for completeness of the contract.
-    """
-    _, f0 = traj[0]
-    _, f1 = traj[-1]
-    l2_0, l2_1 = l2_mass(f0), l2_mass(f1)
-    h0, h1 = hamiltonian(f0), hamiltonian(f1)
+def _drifts(l2_0, l2_1, h0, h1):
     l2_abs = abs(l2_1 - l2_0)
     h_abs = abs(h1 - h0)
     return {
@@ -354,6 +394,29 @@ def conservation_report(traj):
         "hamiltonian_drift_abs": h_abs,
         "hamiltonian_drift_rel": h_abs / abs(h0) if h0 != 0 else 0.0,
     }
+
+
+def conservation_report(traj):
+    """Drift of the tracked invariants between the first and last states.
+
+    The mean is absent from the representation, so its drift is identically
+    zero; it is reported for completeness of the contract.
+    """
+    _, f0 = traj[0]
+    _, f1 = traj[-1]
+    return _drifts(l2_mass(f0), l2_mass(f1), hamiltonian(f0), hamiltonian(f1))
+
+
+def conservation_rows(coeffs0, coeffs1):
+    """conservation_report of each member, from row i of coeffs0 to row i of coeffs1.
+
+    The invariants are computed row-wise, in the same arithmetic as
+    l2_mass and hamiltonian, so each dict equals the member's
+    conservation_report bit for bit.
+    """
+    values = (_l2_rows(coeffs0), _l2_rows(coeffs1),
+              _hamiltonian_rows(coeffs0), _hamiltonian_rows(coeffs1))
+    return [_drifts(*v) for v in zip(*(a.tolist() for a in values))]
 
 
 def liouville_logdet(f, cfg, linear_only=False):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .flow import evolve_batch
 from .noise import sample_batch
-from .spectral import NormSpec, besov_norm_batch
+from .spectral import NormSpec, _l2_rows, besov_norm_batch
 
 __all__ = [
     "Ensemble",
@@ -151,7 +151,7 @@ class ObservableSpec:
 
     @classmethod
     def l2_mass(cls):
-        return cls("l2_mass", lambda e: 2.0 * np.sum(np.abs(e.coeffs) ** 2, axis=1))
+        return cls("l2_mass", lambda e: _l2_rows(e.coeffs))
 
     @classmethod
     def norm(cls, spec: NormSpec):

@@ -119,11 +119,7 @@ def convolve(f, g, method="transform"):
         raise ValueError(f"cutoff mismatch: {f.N} vs {g.N}")
     N = f.N
     if method == "transform":
-        M = _dealias_length(N)
-        uf = _grid_from_coeffs(f.coeffs, M)
-        ug = _grid_from_coeffs(g.coeffs, M)
-        wh = np.fft.rfft(uf * ug) / M
-        return FourierField(N, wh[1 : N + 1])
+        return FourierField(N, _transform_product(f.coeffs, g.coeffs))
     if method == "direct":
         full_f = _two_sided(f.coeffs)
         full_g = _two_sided(g.coeffs)
@@ -141,11 +137,19 @@ def _two_sided(coeffs):
     return out
 
 
+def _transform_product(fc, gc):
+    """The transform route of convolve along the last axis, for one row or many."""
+    N = fc.shape[-1]
+    M = _dealias_length(N)
+    wh = np.fft.rfft(_grid_from_coeffs(fc, M) * _grid_from_coeffs(gc, M), axis=-1) / M
+    return wh[..., 1 : N + 1]
+
+
 def _grid_from_coeffs(coeffs, M):
-    N = len(coeffs)
-    buf = np.zeros(M // 2 + 1, dtype=np.complex128)
-    buf[1 : N + 1] = coeffs
-    return np.fft.irfft(buf, M) * M
+    N = coeffs.shape[-1]
+    buf = np.zeros(coeffs.shape[:-1] + (M // 2 + 1,), dtype=np.complex128)
+    buf[..., 1 : N + 1] = coeffs
+    return np.fft.irfft(buf, M, axis=-1) * M
 
 
 def grid_values(f, M):
@@ -220,7 +224,12 @@ def fl_norm(f, s, p):
 
 def l2_mass(f):
     """Two-sided sum of |c_n|^2 (the conserved quadratic mass)."""
-    return float(2.0 * np.sum(np.abs(f.coeffs) ** 2))
+    return float(_l2_rows(f.coeffs[None, :])[0])
+
+
+def _l2_rows(coeffs):
+    """l2_mass of each row of a (count, N) coefficient array."""
+    return 2.0 * np.sum(np.abs(coeffs) ** 2, axis=1)
 
 
 def hamiltonian(f):
@@ -230,8 +239,21 @@ def hamiltonian(f):
     would pair with coefficients that are identically zero, so truncation
     loses nothing here.
     """
-    n = np.arange(1, f.N + 1, dtype=float)
-    kinetic = float(np.sum(n**2 * np.abs(f.coeffs) ** 2))
-    conv = convolve(f, f).coeffs
-    cubic_mean = 2.0 * float(np.real(np.sum(conv * np.conj(f.coeffs))))
-    return kinetic - cubic_mean / 6.0
+    return float(_hamiltonian_rows(f.coeffs[None, :])[0])
+
+
+def _hamiltonian_rows(coeffs):
+    """hamiltonian of each row of a (count, N) coefficient array.
+
+    Rows go through the padded grid 512 at a time, so its buffers stay
+    small whatever the count.
+    """
+    count, N = coeffs.shape
+    n = np.arange(1, N + 1, dtype=float)
+    out = np.empty(count)
+    for lo in range(0, count, 512):
+        c = coeffs[lo : lo + 512]
+        kinetic = np.sum(n**2 * np.abs(c) ** 2, axis=1)
+        cubic_mean = 2.0 * np.real(np.sum(_transform_product(c, c) * np.conj(c), axis=1))
+        out[lo : lo + 512] = kinetic - cubic_mean / 6.0
+    return out

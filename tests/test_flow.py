@@ -5,8 +5,10 @@ fastest resonant phase, not advection: IF-RK4 resolves the flow when the step
 resonance number dt * 3N^3/4 is of order 1 or below (N=64 white noise
 self-converges at 0.19 and blows up at 49, although 2.5e-4 lies below the
 advective bound 2.8/(N max|u|)). The steps below have resonance numbers from
-0.08 to 4.9, the largest in the short N=32 Richardson run; the blowup check
-uses 197. The l2 drift of the scheme scales like dt^4 per unit time.
+0.08 to 4.9, the largest in the short N=32 Richardson run, except the 8-step
+comparisons with the naive IF-RK4 formula, which check arithmetic, not
+resolution, and reach 12.6 at N=65; the blowup check uses 197. The l2 drift
+of the scheme scales like dt^4 per unit time.
 """
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from kdvnoise.flow import (
     IntegratorBlowupError,
     airy_propagate,
     conservation_report,
+    conservation_rows,
     evolve,
     evolve_batch,
     evolve_checkpoints,
@@ -35,10 +38,13 @@ def wn(N, seed, stream=0):
 
 
 # one cutoff on each side of the quadratic term's route threshold, with a
-# step whose resonance number dt * 3N^3/4 is below 1
+# step whose resonance number dt * 3N^3/4 is below 1; 1100 rows are three
+# 512-row chunks and 513 rows two, the second of one row
 DENSE, FFT = flow._DENSE_MAX_N, flow._DENSE_MAX_N + 1
 ROUTES = pytest.mark.parametrize(
-    "N, dt", [(16, 2.0**-12), (FFT, 2.0**-16)], ids=["dense", "fft"]
+    "N, dt, count",
+    [(16, 2.0**-12, 1100), (DENSE, 2.0**-18, 513), (FFT, 2.0**-18, 1100)],
+    ids=["dense", "dense-64", "fft"],
 )
 
 
@@ -80,28 +86,46 @@ class TestNonlinearTerm:
         got = nonlinear_term(f).coeffs
         assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < 1e-11
 
-    @pytest.mark.parametrize("N", [5, 21, 85])
+    @pytest.mark.parametrize("N", [5, 9, 10, 11, 12, 21, DENSE, FFT, 85])
     def test_pseudospectral_oracle_at_alias_edge(self, N):
-        # M = 3N + 1 exactly: one point fewer and mode -2N aliases onto N
-        assert _dealias_length(N) == 3 * N + 1
+        # the route's grid has M = 3N + gap points: the dense grid is the
+        # first multiple of 4 above 3N, so N = 9..12 leave gaps 1..4, and
+        # the FFT grid is the power of two above 3N; at gap 1 one point
+        # fewer would alias mode -2N onto N
+        gap = {5: 1, 9: 1, 10: 2, 11: 3, 12: 4, 21: 1, DENSE: 4, FFT: 61, 85: 1}
+        assert flow._Kernels(N, []).M - 3 * N == gap[N]
         f = wn(N, 79)
         expect = oracles.nonlinear_pseudospectral(f.coeffs)
         got = nonlinear_term(f).coeffs
         assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < 1e-11
 
     @pytest.mark.parametrize("count", [1, 512, 513])
-    @pytest.mark.parametrize("N", [1, 2, 21, 22, DENSE, FFT])
+    @pytest.mark.parametrize("N", [1, 2, 21, 22, 42, 43, DENSE, FFT])
     def test_dense_route_matches_fft_route(self, N, count):
-        # both kernels on the same grid; at N=1 the term vanishes, so the
+        # the dense kernel on its grid of 4 floor(3N/4) + 4 points against
+        # the FFT kernel on the power of two above 3N, with no phase and
+        # with a generic one folded in; at N=1 the term vanishes, so the
         # bound there is absolute (the rows have unit variance)
-        M = _dealias_length(N)
         rows = sample_batch(N, count, 81)
-        want = np.empty_like(rows)
-        buf = np.zeros((count, M // 2 + 1), dtype=complex)
-        flow._nonlinear_rows(rows, -0.5j * M * np.arange(1, N + 1), buf, want)
-        C, D = flow._dense_tables(N, M)
-        got = flow._dense_rows(rows, C, D, np.empty((count, M)), np.empty_like(rows))
-        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+        for ph in (np.ones(N, dtype=complex), flow._airy_phase(N, 0.37)):
+            M = _dealias_length(N)
+            buf = np.zeros((count, M // 2 + 1), dtype=complex)
+            want = flow._fft_rows(rows, np.empty_like(rows), flow._fft_tables(N, M, ph), buf)
+            M = flow._dense_length(N)
+            tables = flow._dense_tables(N, M, ph)
+            got = flow._dense_rows(rows, np.empty_like(rows), tables, np.empty((count, M)))
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    @pytest.mark.parametrize("N", [16, DENSE, FFT])
+    def test_stage_kernels_are_quadratic_forms(self, N):
+        # G_c(x+y) + G_c(x-y) = 2 G_c(x) + 2 G_c(y) for each stage kernel,
+        # the identity that carries a tangent vector through a stage
+        x, y = sample_batch(N, 8, 82), sample_batch(N, 8, 83)
+        rows = np.concatenate([x + y, x - y, x, y])
+        for G in flow._stage_kernels(N, 2.0**-14).bind(len(rows)):
+            g = G(rows, np.empty_like(rows)).reshape(4, 8, N)
+            rhs = 2.0 * g[2] + 2.0 * g[3]
+            assert np.max(np.abs(g[0] + g[1] - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
     def test_hermitian(self):
         f = wn(8, 78)
@@ -132,7 +156,7 @@ class TestStep:
         g = step(FourierField.zeros(8), 1e-3)
         assert np.all(g.coeffs == 0)
 
-    @pytest.mark.parametrize("N", [8, 16, FFT])
+    @pytest.mark.parametrize("N", [8, 16, 43, DENSE, FFT])
     def test_matches_naive_if_rk4(self, N):
         # the stage arithmetic against the formula written apart from src/
         dt = 2.0**-14
@@ -251,11 +275,11 @@ class TestEvolve:
                 evolve_checkpoints(coeffs, cfg, times)
 
     @ROUTES
-    def test_chunked_runs_bit_exact(self, N, dt):
-        # 1100 rows are three 512-row chunks, so workers 2 and 3 run chunks
-        # on separate threads, each with its own stage buffers; BLAS keeps
-        # its default threading
-        coeffs = sample_batch(N, 1100, 14)
+    def test_chunked_runs_bit_exact(self, N, dt, count):
+        # several 512-row chunks, so workers 2 and 3 run chunks on separate
+        # threads, each with its own grid buffer over the shared tables;
+        # BLAS keeps its default threading
+        coeffs = sample_batch(N, count, 14)
         cfg = FlowConfig(dt=dt, T=20 * dt)
         runs = [evolve_batch(coeffs, cfg, workers=w) for w in (1, 2, 3)]
         assert np.array_equal(runs[0], runs[1])
@@ -264,11 +288,28 @@ class TestEvolve:
         assert np.array_equal(states[-1][1], runs[0])
 
     @ROUTES
-    def test_default_workers_bit_exact(self, N, dt):
-        # three chunks; the default runs them on every CPU the process may use
-        coeffs = sample_batch(N, 1100, 15)
+    def test_default_workers_bit_exact(self, N, dt, count):
+        # the default runs the chunks on every CPU the process may use
+        coeffs = sample_batch(N, count, 15)
         cfg = FlowConfig(dt=dt, T=10 * dt)
         assert np.array_equal(evolve_batch(coeffs, cfg), evolve_batch(coeffs, cfg, workers=1))
+
+    def test_tables_built_once_per_run(self, monkeypatch):
+        builds = []
+        init = flow._Kernels.__init__
+
+        def counted(self, N, phases):
+            builds.append(N)
+            init(self, N, phases)
+
+        monkeypatch.setattr(flow._Kernels, "__init__", counted)
+        dt = 2.0**-18
+        cfg = FlowConfig(dt=dt, T=8 * dt)
+        traj = evolve(wn(DENSE, 20), cfg, checkpoints=[2 * dt, 4 * dt, 6 * dt, 8 * dt])
+        assert len(traj) == 4 and builds == [DENSE]
+        builds.clear()
+        evolve_batch(sample_batch(DENSE, 1100, 21), cfg, workers=2)
+        assert builds == [DENSE]
 
     def test_empty_times_rejected(self):
         f = wn(8, 13)
@@ -309,6 +350,18 @@ class TestConservation:
         assert rep["mean_drift"] == 0.0
         assert rep["l2_drift_rel"] < 1e-8
         assert rep["hamiltonian_drift_rel"] < 1e-6
+
+    @pytest.mark.parametrize("N, count", [(3, 1), (16, 1100), (DENSE, 513)])
+    def test_rows_match_per_member_report(self, N, count):
+        # bit for bit, so conservation.csv keeps its bytes; more than 512
+        # rows take the row-wise Hamiltonian through more than one block
+        c0 = sample_batch(N, count, 16)
+        c1 = c0 * (1.0 + 1e-9 * sample_batch(N, count, 17))
+        want = [
+            conservation_report([(0.0, FourierField(N, a)), (1.0, FourierField(N, b))])
+            for a, b in zip(c0, c1)
+        ]
+        assert conservation_rows(c0, c1) == want
 
     def test_drift_shrinks_high_order_when_dt_halves(self):
         # the invariant's drift contracts at least 4th order under step halving
