@@ -100,55 +100,75 @@ class WeightParams:
             raise ValueError("delta must be in (0,1)")
 
 
-_OFFSETS = np.arange(-2, 3)
+_WEIGHT_PASS = 1 << 16  # candidates tested per pass: memory is bounded for any c0
+_K_LIMIT = 2.0**52  # window ends are clipped here: k stays exact as a float, its cast safe
 
 
-def _weight_candidates(n, d, r):
-    """Integer k candidates near the roots of 3nk(n-k) = -d (+-r) and the vertex.
+def _weight_windows(n, d, r):
+    """The two integer ranges per point that hold every k with |d + q(k)| <= r.
 
-    n: (m,) int array; d = tau - n^3, r: (m,) floats. Returns (m, 25) int64,
-    sorted per row.
+    q(k) = 3nk(n-k) = 3n^3/4 - 3n(k - n/2)^2 is monotone on each side of n/2
+    and equals v where (k - n/2)^2 = n^2/4 - v/(3n). So the k in the window
+    have (k - n/2)^2 between its values at v = -d - r and v = -d + r: one range
+    below n/2 and one from ceil(n/2) up, each end widened by one to absorb
+    float error. A non-finite d has no window. Returns (lo, count), int64 of
+    shape (2m,): point i's lower range at 2i, its upper range at 2i + 1, so
+    each point's k ascend.
     """
     nf = n.astype(float)
-    base = np.empty((n.size, 5))
-    for col, v in enumerate((-d - r, -d + r)):
-        disc = 9.0 * nf**4 - 12.0 * nf * v
-        sq = np.sqrt(np.clip(disc, 0.0, None))
-        base[:, 2 * col] = (3.0 * nf**2 - sq) / (6.0 * nf)
-        base[:, 2 * col + 1] = (3.0 * nf**2 + sq) / (6.0 * nf)
-    base[:, 4] = nf / 2.0
-    cands = np.rint(base)[:, :, None] + _OFFSETS[None, None, :]
-    return np.sort(cands.reshape(n.size, 25).astype(np.int64), axis=1)
+    c = nf / 2.0
+    u1 = c * c + (d + r) / (3.0 * nf)
+    u2 = c * c + (d - r) / (3.0 * nf)
+    u_lo, u_hi = np.minimum(u1, u2), np.maximum(u1, u2)
+    live = u_hi >= 0.0  # false for NaN
+    a = np.sqrt(np.where(live, np.clip(u_lo, 0.0, None), 0.0))
+    b = np.sqrt(np.where(live, u_hi, 0.0))
+    mid = np.ceil(c)
+    lo = np.stack([np.ceil(c - b) - 1.0, np.maximum(mid, np.ceil(c + a) - 1.0)], axis=1)
+    hi = np.stack([np.minimum(mid - 1.0, np.floor(c - a) + 1.0), np.floor(c + b) + 1.0], axis=1)
+    lo, hi = np.clip(lo, -_K_LIMIT, _K_LIMIT), np.clip(hi, -_K_LIMIT, _K_LIMIT)
+    count = np.where(live[:, None], np.maximum(hi - lo + 1.0, 0.0), 0.0)
+    return lo.astype(np.int64).ravel(), count.astype(np.int64).ravel()
 
 
 def _weight_hits(n, tau, params):
-    """Candidates k, the mask of the distinct nonzero k in the resonance window,
-    and each candidate's gain min(<k>, <n-k>)^delta.
+    """Every resonant (point, k) and its gain min(<k>, <n-k>)^delta, by passes.
 
-    One row per flat point; the caller keeps only |n| >= C and needs c0 > 0.
+    n, tau: flat arrays of points with |n| >= C. Enumerates the k of
+    _weight_windows, at most _WEIGHT_PASS per pass, and keeps the nonzero k
+    with |tau - n^3 + 3nk(n-k)| <= c0 <n>^(1/100). Yields (point, k, gain)
+    arrays per pass; point indexes n, and within a point k ascends.
     """
     d = tau - n.astype(float) ** 3
     r = params.c0 * bracket(n) ** 0.01
-    k = _weight_candidates(n, d, r)
-    first = np.concatenate(
-        [np.ones((k.shape[0], 1), dtype=bool), k[:, 1:] != k[:, :-1]], axis=1
-    )
-    kf = k.astype(float)
-    value = 3.0 * n[:, None] * kf * (n[:, None] - kf)
-    hit = (k != 0) & first & (np.abs(d[:, None] + value) <= r[:, None])
-    return k, hit, np.minimum(bracket(k), bracket(n[:, None] - k)) ** params.delta
+    lo, count = _weight_windows(n, d, r)
+    ends = np.cumsum(count)
+    shift = lo - (ends - count)  # k = (flat candidate index) + shift of its range
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _WEIGHT_PASS):
+        flat = np.arange(start, min(start + _WEIGHT_PASS, total))
+        rid = np.searchsorted(ends, flat, side="right")
+        k = flat + shift[rid]
+        point = rid >> 1
+        nn, kf = n[point], k.astype(float)
+        hit = (k != 0) & (np.abs(d[point] + 3.0 * nn * kf * (nn - kf)) <= r[point])
+        point, k, nn = point[hit], k[hit], nn[hit]
+        yield point, k, np.minimum(bracket(k), bracket(nn - k)) ** params.delta
 
 
 def _weight_eval(n, tau, params):
-    """Vectorized weight on flat int/float arrays; solves the quadratic."""
+    """Vectorized weight on same-shape int/float arrays: 1 + the gains of all hits."""
     n = np.asarray(n, dtype=np.int64)
     tau = np.asarray(tau, dtype=float)
     out = np.ones(n.shape, dtype=float)
     live = np.abs(n) >= params.C
-    if params.c0 == 0 or not live.any():
+    m = int(np.count_nonzero(live))
+    if not m:
         return out
-    _k, hit, gain = _weight_hits(n[live], tau[live], params)
-    out[live] = 1.0 + np.sum(np.where(hit, gain, 0.0), axis=1)
+    gains = np.zeros(m)
+    for point, _k, gain in _weight_hits(n[live], tau[live], params):
+        np.add.at(gains, point, gain)  # in k order, so passes never regroup a sum
+    out[live] = 1.0 + gains
     return out
 
 
@@ -164,10 +184,10 @@ def resonance_weight(n, tau, params):
 
 def weight_terms(n, tau, params):
     """The contributing (k, gain) pairs behind resonance_weight at one point."""
-    if abs(n) < params.C or params.c0 == 0:
+    if abs(n) < params.C:
         return []
-    k, hit, gain = _weight_hits(np.array([n], dtype=np.int64), np.array([float(tau)]), params)
-    return list(zip(k[hit].tolist(), gain[hit].tolist()))
+    hits = _weight_hits(np.array([n], dtype=np.int64), np.array([float(tau)]), params)
+    return [term for _p, k, gain in hits for term in zip(k.tolist(), gain.tolist())]
 
 
 # --------------------------------------------------------- space-time grids

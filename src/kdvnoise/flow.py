@@ -340,8 +340,9 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     returned. States are yielded as they are reached, so a checkpointed run
     does the arithmetic of an uninterrupted one, and fixed 512-row chunks keep
     it independent of the worker count. The stage kernels' tables are built
-    once, when the iterator starts, and every chunk of every segment reads
-    them. workers=None runs on every CPU the process may use.
+    once, when the first segment that takes a step starts, and every chunk of
+    every segment reads them; a run with no step builds none. workers=None
+    runs on every CPU the process may use.
     """
     times = [float(t) for t in times]
     if not times:
@@ -357,8 +358,10 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
         raise ValueError("checkpoints must be increasing")
 
     def run(rows):
-        kernels, pos = _stage_kernels(rows.shape[1], dt), 0
+        kernels, pos = None, 0
         for t, k in zip(times, idx):
+            if kernels is None and k > pos:
+                kernels = _stage_kernels(rows.shape[1], dt)
             rows = _run_batch(rows, kernels, dt, k - pos, workers, pos * dt)
             pos = k
             yield t, rows

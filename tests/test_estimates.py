@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 import oracles
@@ -67,6 +69,12 @@ class TestModulationMax:
             modulation_max_holds(3, 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             modulation_max_holds(3, -3, 1.0, 1.0)
+
+
+def _covering_kmax(n, tau, c0):
+    """A scan bound past every hit: |3nk(n-k)| >= 3|n|(|k|-|n|)^2 once |k| > |n|."""
+    reach = (abs(tau - n**3) + c0 * bracket(n) ** 0.01) / (3 * abs(n))
+    return abs(n) + int(np.sqrt(reach)) + 2
 
 
 class TestWeight:
@@ -134,6 +142,66 @@ class TestWeight:
             expect = 1.0 + sum(gain for _, gain in terms)
             assert resonance_weight(n, tau, params) == pytest.approx(expect, rel=1e-14)
         assert resonant >= 150
+
+    def test_wide_window_point(self):
+        # nine hits, four below n/2 = 1.5 and five above: more than the
+        # neighbours of the roots and the vertex hold
+        n, tau, params = 3, -164.13475188783883, WeightParams(C=1, c0=400, delta=0.4)
+        expect = oracles.weight_scan(n, tau, 1, 400, 0.4, kmax=_covering_kmax(n, tau, 400))
+        assert expect == pytest.approx(13.8639250441, rel=1e-10)
+        assert resonance_weight(n, tau, params) == pytest.approx(expect, rel=1e-13)
+        assert [k for k, _ in weight_terms(n, tau, params)] == [-3, -2, -1, 1, 2, 3, 4, 5, 6]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        C=st.sampled_from([1.0, 2.0, 10.0]),
+        c0=st.floats(0.0, 400.0),
+        delta=st.floats(0.01, 0.99),
+        n=st.integers(-60, 60).filter(bool),
+        k=st.integers(-180, 180),
+        where=st.sampled_from(["curve", "near", "vertex"]),
+        offset=st.floats(-1.0, 1.0),
+    )
+    def test_matches_scan_over_wide_windows(self, C, c0, delta, n, k, where, offset):
+        # tau on the curve of some k, within a window width or so of it, or
+        # at the vertex k = n/2 (offset 0 puts "near" and "vertex" exactly on it)
+        half = c0 * bracket(n) ** 0.01 + 1.0
+        if where == "vertex":
+            tau = n**3 / 4 + offset * half
+        else:
+            tau = float(n**3 - 3 * n * (n - k) * k) + (offset * half if where == "near" else 0.0)
+        params = WeightParams(C=C, c0=c0, delta=delta)
+        expect = oracles.weight_scan(n, tau, C, c0, delta, kmax=_covering_kmax(n, tau, c0))
+        assert resonance_weight(n, tau, params) == pytest.approx(expect, rel=1e-13)
+
+    def test_terms_add_up_with_many_hits_per_side(self):
+        params = WeightParams(C=1, c0=400, delta=0.4)
+        rng = np.random.default_rng(67)
+        crowded = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 8)) * int(rng.choice([-1, 1]))
+            k = 2 * n
+            tau = float(n**3 - 3 * n * (n - k) * k + rng.uniform(-300, 300))
+            terms = weight_terms(n, tau, params)
+            below = sum(k < n / 2 for k, _ in terms)
+            crowded += max(below, len(terms) - below) > 2
+            # the same gains, summed in the same ascending order
+            assert resonance_weight(n, tau, params) == 1.0 + sum(gain for _, gain in terms)
+        assert crowded >= 100
+
+    def test_pass_size_changes_nothing(self, monkeypatch):
+        # 7 candidates per pass splits most windows, and each point's hits,
+        # across passes
+        params = WeightParams(C=1, c0=400, delta=0.4)
+        rng = np.random.default_rng(68)
+        ns = rng.integers(1, 30, size=300) * rng.choice([-1, 1], size=300)
+        ks = rng.integers(-60, 61, size=300)
+        taus = ns**3 - 3 * ns * (ns - ks) * ks + rng.uniform(-300, 300, size=300)
+        whole = resonance_weight(ns, taus, params)
+        terms = [weight_terms(int(n), float(t), params) for n, t in zip(ns[:20], taus[:20])]
+        monkeypatch.setattr(estimates, "_WEIGHT_PASS", 7)
+        assert resonance_weight(ns, taus, params).tobytes() == whole.tobytes()
+        assert [weight_terms(int(n), float(t), params) for n, t in zip(ns[:20], taus[:20])] == terms
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

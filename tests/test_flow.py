@@ -10,10 +10,16 @@ comparisons with the naive IF-RK4 formula, which check arithmetic, not
 resolution, and reach 12.6 at N=65; the blowup check uses 197. The l2 drift
 of the scheme scales like dt^4 per unit time.
 """
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import oracles
+import kdvnoise
 from kdvnoise import flow
 from kdvnoise.flow import (
     FDProbeError,
@@ -294,15 +300,20 @@ class TestEvolve:
         cfg = FlowConfig(dt=dt, T=10 * dt)
         assert np.array_equal(evolve_batch(coeffs, cfg), evolve_batch(coeffs, cfg, workers=1))
 
-    def test_tables_built_once_per_run(self, monkeypatch):
-        builds = []
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The cutoff of every _Kernels built while the test runs."""
+        built = []
         init = flow._Kernels.__init__
 
         def counted(self, N, phases):
-            builds.append(N)
+            built.append(N)
             init(self, N, phases)
 
         monkeypatch.setattr(flow._Kernels, "__init__", counted)
+        return built
+
+    def test_tables_built_once_per_run(self, builds):
         dt = 2.0**-18
         cfg = FlowConfig(dt=dt, T=8 * dt)
         traj = evolve(wn(DENSE, 20), cfg, checkpoints=[2 * dt, 4 * dt, 6 * dt, 8 * dt])
@@ -310,6 +321,19 @@ class TestEvolve:
         builds.clear()
         evolve_batch(sample_batch(DENSE, 1100, 21), cfg, workers=2)
         assert builds == [DENSE]
+
+    def test_no_tables_without_a_step(self, builds):
+        # a run that takes no step, by T=0 or with every checkpoint at t=0,
+        # returns its input bytes and builds no stage tables
+        dt = 2.0**-18
+        f = wn(DENSE, 22)
+        rows = sample_batch(DENSE, 600, 23)
+        assert evolve(f, FlowConfig(dt=dt, T=0.0))[0][1].coeffs.tobytes() == f.coeffs.tobytes()
+        assert evolve_batch(rows, FlowConfig(dt=dt, T=0.0)).tobytes() == rows.tobytes()
+        states = list(evolve_checkpoints(rows, FlowConfig(dt=dt, T=8 * dt), [0.0, 0.0]))
+        assert [t for t, _ in states] == [0.0, 0.0]
+        assert all(out.tobytes() == rows.tobytes() for _, out in states)
+        assert builds == []
 
     def test_empty_times_rejected(self):
         f = wn(8, 13)
@@ -325,6 +349,54 @@ class TestEvolve:
         a = evolve_batch(coeffs, cfg, workers=1)
         b = evolve_batch(coeffs, cfg, workers=3)
         assert np.array_equal(a, b)
+
+
+# SHA-256 of evolve_batch on 1100 rows (three chunks) for workers 1 and 2,
+# printed as JSON by a fresh interpreter whose BLAS thread count is set
+# before numpy loads
+_BLAS_DIGESTS = """
+import hashlib, json
+from kdvnoise.flow import FlowConfig, evolve_batch
+from kdvnoise.noise import sample_batch
+out = {}
+for N in (16, 48, 64, 65):
+    dt = 2.0**-12 if N <= 16 else 2.0**-18
+    rows = sample_batch(N, 1100, 31)
+    for w in (1, 2):
+        final = evolve_batch(rows, FlowConfig(dt=dt, T=20 * dt), workers=w)
+        out[f"{N}/{w}"] = hashlib.sha256(final.tobytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_digests():
+    src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_DIGESTS], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout)
+    return runs
+
+
+_BLAS_ULP = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the dense route's products at N = 48..64 differ by "
+    "about one ulp between one and two BLAS threads",
+)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize(
+        "N", [16, pytest.param(48, marks=_BLAS_ULP), pytest.param(64, marks=_BLAS_ULP), 65]
+    )
+    def test_digest_independent_of_blas_threads(self, blas_digests, N):
+        digests = {runs[f"{N}/{w}"] for runs in blas_digests.values() for w in (1, 2)}
+        assert len(digests) == 1
 
 
 class TestConservation:
