@@ -13,16 +13,26 @@ advective bound is ~8.7e-4, yet the steps 5e-4 and 2.5e-4 (resonance
 numbers 98 and 49) blow up near t=0.12 and t=0.33.
 
 Each RK4 stage calls one kernel, G_c(x) = E(-c dt) F(E(c dt) x) with c = 0,
-1/2 or 1, so a stage is x = a + c dt k, k = G_c(x), and only the step's end
-multiplies by a phase. The three kernels' tables are built once per run and
-shared, read-only, by all of its chunks. Two kernels evaluate G_c, picked by
-N alone. Up to _DENSE_MAX_N = 64 they are two dense real DFT products with
-the phases folded into the tables, on the smallest grid their quadrant
-reduction allows, M = 4 floor(3N/4) + 4 (52 at N=16, 196 at N=64). Above it
-an irfft/rfft pair on the power of two above 3N takes the phases into the
-padded spectrum and the output scale. With one BLAS thread the products
-took 9 against 19 us for one row at N=64 and 1.1 against 1.9 ms for 512
-rows; at N=80 the FFT was even for 16 rows (README has the table).
+1/2 or 1, and only the step's end multiplies by a phase. The kernels' output
+tables carry the RK4 weights, dt/6 for G_0 and G_1 and dt/3 for G_1/2, so
+the stages return k1 = dt/6 G_0(a), k2 = dt/3 G_1/2(a + 3 k1),
+k3 = dt/3 G_1/2(a + 1.5 k2) and k4 = dt/6 G_1(a + 3 k3), and the step is
+a = E(dt) (a + ((k1 + k2) + k3) + k4), one reduction over the stage buffer.
+The kernels and the stage arithmetic read the rows as interleaved floats;
+only that closing phase reads them as complex. The tables are built once per
+(N, dt) per process, kept read-only in a small cache and shared by every
+chunk of every run with that step. After each step one dot product screens
+the whole block against the blowup limit; only a block that fails it (or
+holds a NaN or inf) is checked member by member.
+
+Two kernels evaluate G_c, picked by N alone. Up to _DENSE_MAX_N = 64 they
+are two dense real DFT products with the phases folded into the tables, on
+the smallest grid their quadrant reduction allows, M = 4 floor(3N/4) + 4
+(52 at N=16, 196 at N=64). Above it an irfft/rfft pair on the power of two
+above 3N takes the phases into the padded spectrum and the output factor.
+With one BLAS thread the products took 9 against 19 us for one row at N=64
+and 1.1 against 1.9 ms for 512 rows; at N=80 the FFT was even for 16 rows
+(README has the table).
 """
 from __future__ import annotations
 
@@ -58,9 +68,13 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e8
+# sum of squares below which no coefficient can exceed _BLOWUP_LIMIT: each
+# real part is then at most _BLOWUP_LIMIT/2, so |coeff| <= _BLOWUP_LIMIT/sqrt(2)
+_BLOWUP_SCREEN = (_BLOWUP_LIMIT / 2) ** 2
 _CHUNK_ROWS = 512  # fixed so worker count never changes the arithmetic
 _DENSE_MAX_N = 64  # largest cutoff whose quadratic term uses the dense route
 _FD_EPS = 1e-4  # central-difference step of the Liouville probes
+_TABLE_SETS = 8  # (N, dt) table sets kept per cache: at most 1.2 MB each
 
 
 class IntegratorBlowupError(RuntimeError):
@@ -121,17 +135,17 @@ def _dense_length(N):
     return 4 * (3 * N // 4) + 4
 
 
-def _dense_tables(N, M, ph):
-    """Tables (C, D) of the dense kernel x -> conj(ph) F(ph x) on the M-point grid.
+def _dense_tables(N, M, ph, scale):
+    """Tables (C, D) of the dense kernel x -> scale conj(ph) F(ph x) on the M-point grid.
 
     With a row's coefficients read as interleaved floats (Re x_1, Im x_1,
     ...), X @ C is the grid values of ph x, rows 2cos(n x_j + a_n) and
-    -2sin(n x_j + a_n) for ph = e^{i a}; u^2 @ D is conj(ph) F interleaved,
-    columns -n sin(n x_j + a_n)/(2M) and -n cos(n x_j + a_n)/(2M). Each grid
-    angle 2pi k/M is reduced exactly to its quadrant and the distance to the
-    nearest axis, so at ph = 1 the tables keep the grid's symmetries bit for
-    bit (cos 0 = 1 and cos(pi/2) = 0 exactly) as the FFT's twiddles do; the
-    phase then rotates each (cos, sin) pair.
+    -2sin(n x_j + a_n) for ph = e^{i a}; u^2 @ D is scale conj(ph) F
+    interleaved, columns -n sin(n x_j + a_n)/(2M) and -n cos(n x_j + a_n)/(2M)
+    times scale. Each grid angle 2pi k/M is reduced exactly to its quadrant
+    and the distance to the nearest axis, so at ph = 1 the tables keep the
+    grid's symmetries bit for bit (cos 0 = 1 and cos(pi/2) = 0 exactly) as
+    the FFT's twiddles do; the phase then rotates each (cos, sin) pair.
     """
     Q = M // 4  # M is a multiple of 4
     quad, r = np.divmod(np.arange(M), Q)
@@ -148,66 +162,75 @@ def _dense_tables(N, M, ph):
     C = np.stack([2.0 * cos, -2.0 * sin], axis=1).reshape(2 * N, M)
     w = n[:, None] / (2.0 * M)
     D = np.stack([-w * sin, -w * cos], axis=1).reshape(2 * N, M).T.copy()
+    D *= scale
     return C, D
 
 
 def _dense_rows(rows, out, tables, buf):
-    """conj(ph) F(ph x) for each row x by two dense real products, into out.
+    """scale conj(ph) F(ph x) for each row x by two dense real products, into out.
 
-    tables are _dense_tables(N, M, ph); buf is a (count, M) float buffer
-    for the grid values, rewritten whole.
+    rows and out are (count, 2N) float arrays, each row's coefficients
+    interleaved (Re x_1, Im x_1, ...). tables are _dense_tables(N, M, ph,
+    scale); buf is a (count, M) float buffer for the grid values, rewritten
+    whole.
     """
     C, D = tables
-    np.matmul(rows.view(np.float64), C, out=buf)
+    np.matmul(rows, C, out=buf)
     np.multiply(buf, buf, out=buf)
-    np.matmul(buf, D, out=out.view(np.float64))
-    return out
+    return np.matmul(buf, D, out=out)
 
 
-def _fft_tables(N, M, ph):
-    """Tables of the padded-FFT kernel x -> conj(ph) F(ph x) on the M-point grid.
+def _fft_tables(N, M, ph, scale):
+    """Tables of the padded-FFT kernel x -> scale conj(ph) F(ph x) on the M-point grid.
 
-    ph itself and scale = -(in/2) M conj(ph): the factor M of the grid values
-    and the 1/M of the forward transform, both exact powers of two, fold
-    into it.
+    ph itself and the output factor -(in/2) M conj(ph) scale: the factor M of
+    the grid values and the 1/M of the forward transform, both exact powers
+    of two, fold into it.
     """
-    return ph, -0.5j * M * np.arange(1, N + 1) * np.conj(ph)
+    return ph, -0.5j * M * np.arange(1, N + 1) * np.conj(ph) * scale
 
 
 def _fft_rows(rows, out, tables, buf):
-    """conj(ph) F(ph x) for each row x by an irfft/rfft pair, into out.
+    """scale conj(ph) F(ph x) for each row x by an irfft/rfft pair, into out.
 
-    tables are _fft_tables(N, M, ph); buf is the (count, M/2 + 1) padded
+    rows and out are interleaved float arrays, as for _dense_rows. tables are
+    _fft_tables(N, M, ph, scale); buf is the (count, M/2 + 1) padded
     spectrum, zero outside columns 1..N; only those columns are rewritten.
     """
-    ph, scale = tables
-    N = rows.shape[1]
+    ph, factor = tables
+    N = len(ph)
     M = 2 * (buf.shape[1] - 1)
-    np.multiply(ph, rows, out=buf[:, 1 : N + 1])
+    np.multiply(ph, rows.view(np.complex128), out=buf[:, 1 : N + 1])
     u = np.fft.irfft(buf, M, axis=1)
     u *= u
-    return np.multiply(np.fft.rfft(u, axis=1)[:, 1 : N + 1], scale, out=out)
+    np.multiply(np.fft.rfft(u, axis=1)[:, 1 : N + 1], factor, out=out.view(np.complex128))
+    return out
 
 
 class _Kernels:
-    """The kernels x -> conj(ph) F(ph x) at cutoff N, one per phase vector ph.
+    """The kernels x -> scale conj(ph) F(ph x) at cutoff N, one per (ph, scale).
 
     F is the quadratic term -(in/2)(u^2)^(n). Up to _DENSE_MAX_N it is
     _dense_rows on the _dense_length(N) grid, above it _fft_rows on the
-    _dealias_length(N) grid. The tables are made here, once, and only read
-    afterwards, so every chunk of a run shares them; bind gives a chunk its
-    own grid buffer.
+    _dealias_length(N) grid. The phases and tables are made here, once, and
+    made read-only, so every chunk of every run that holds them shares them;
+    bind gives a chunk its own grid buffer.
     """
 
-    def __init__(self, N, phases):
+    def __init__(self, N, phases, scales):
         self.phases = phases
         self.dense = N <= _DENSE_MAX_N
         self.M = _dense_length(N) if self.dense else _dealias_length(N)
         make = _dense_tables if self.dense else _fft_tables
-        self.tables = [make(N, self.M, ph) for ph in phases]
+        self.tables = [make(N, self.M, ph, s) for ph, s in zip(phases, scales)]
+        for arr in [*phases, *(t for ts in self.tables for t in ts)]:
+            arr.flags.writeable = False
 
     def bind(self, count):
-        """One (rows, out) -> out kernel per phase for count rows, sharing one buffer."""
+        """One (rows, out) -> out kernel per phase for count interleaved float rows.
+
+        The kernels share one grid buffer, so they run one at a time.
+        """
         if self.dense:
             kernel, buf = _dense_rows, np.empty((count, self.M))
         else:
@@ -215,20 +238,29 @@ class _Kernels:
         return [functools.partial(kernel, tables=t, buf=buf) for t in self.tables]
 
 
+@functools.lru_cache(maxsize=_TABLE_SETS)
 def _stage_kernels(N, dt):
-    """The IF-RK4 stage kernels G_c = E(-c dt) F(E(c dt) .) for c = 0, 1/2, 1.
+    """The weighted IF-RK4 stage kernels w_c G_c, G_c = E(-c dt) F(E(c dt) .).
 
-    E is _airy_phase; the phase of the last, E(dt), also ends each step.
+    c = 0, 1/2, 1 with weights w_c = dt/6, dt/3, dt/6. E is _airy_phase; the
+    phase of the last, E(dt), also ends each step. Cached per (N, dt).
     """
     ph_h = _airy_phase(N, 0.5 * dt)
-    return _Kernels(N, [np.ones(N, dtype=np.complex128), ph_h, ph_h * ph_h])
+    phases = [np.ones(N, dtype=np.complex128), ph_h, ph_h * ph_h]
+    return _Kernels(N, phases, [dt / 6.0, dt / 3.0, dt / 6.0])
+
+
+@functools.lru_cache(maxsize=_TABLE_SETS)
+def _plain_kernel(N):
+    """F itself at cutoff N: one kernel, no phase, scale 1."""
+    return _Kernels(N, [np.ones(N, dtype=np.complex128)], [1.0])
 
 
 def nonlinear_term(f):
     """Quadratic transport term of the truncated system at a single state."""
     out = np.empty((1, f.N), dtype=np.complex128)
-    (F,) = _Kernels(f.N, [np.ones(f.N, dtype=np.complex128)]).bind(1)
-    F(np.ascontiguousarray(f.coeffs[None, :]), out)
+    (F,) = _plain_kernel(f.N).bind(1)
+    F(np.ascontiguousarray(f.coeffs[None, :]).view(np.float64), out.view(np.float64))
     return FourierField(f.N, out[0])
 
 
@@ -257,37 +289,41 @@ def _rk4_chunk(rows, kernels, dt, nsteps, t0, first):
     count, N = rows.shape
     G0, Gh, Gf = kernels.bind(count)
     ph_f = kernels.phases[2]
-    k1, k2, k3, k4, x = np.empty((5, count, N), dtype=np.complex128)
     a = rows.copy()
-
-    def stage(k_in, c, G, k_out):
-        # k_out = G_c(a + c*dt*k_in), operands in this order: complex
-        # products may use fused multiply-adds, which do not commute
-        np.multiply(c * dt, k_in, out=x)
-        np.add(a, x, out=x)
-        G(x, k_out)
+    # the kernels and the stage arithmetic read rows as interleaved floats;
+    # only the phase that ends a step reads a as complex
+    af = a.view(np.float64)
+    flat = af.reshape(-1)
+    stages = np.empty((5, count, 2 * N))
+    k1, k2, k3, k4, x = stages
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
-            G0(a, k1)
-            stage(k1, 0.5, Gh, k2)
-            stage(k2, 0.5, Gh, k3)
-            stage(k3, 1.0, Gf, k4)
-            # a = ph_f * (a + dt/6 * (((k1 + 2 k2) + 2 k3) + k4))
-            np.multiply(2.0, k2, out=k2)
-            np.add(k1, k2, out=k2)
-            np.multiply(2.0, k3, out=k3)
-            np.add(k2, k3, out=k2)
-            np.add(k2, k4, out=k2)
-            np.multiply(dt / 6.0, k2, out=k2)
-            np.add(a, k2, out=a)
+            # stage input a + c dt G = a + (c dt / w) k for the previous
+            # stage's k = w G: factors 3, 1.5 and 3
+            G0(af, k1)
+            np.multiply(3.0, k1, out=x)
+            np.add(af, x, out=x)
+            Gh(x, k2)
+            np.multiply(1.5, k2, out=x)
+            np.add(af, x, out=x)
+            Gh(x, k3)
+            np.multiply(3.0, k3, out=x)
+            np.add(af, x, out=x)
+            Gf(x, k4)
+            # a = ph_f * (a + (((k1 + k2) + k3) + k4))
+            np.add.reduce(stages[:4], axis=0, out=x)
+            np.add(af, x, out=af)
             np.multiply(ph_f, a, out=a)
-            peak = np.abs(a).max(initial=0.0)
-            if not np.isfinite(peak) or peak > _BLOWUP_LIMIT:
-                mags = np.abs(a)
-                mags[~np.isfinite(mags)] = np.inf
-                bad = first + np.where(mags.max(axis=1) > _BLOWUP_LIMIT)[0]
-                raise _blowup(bad.tolist(), t0 + (k + 1) * dt, dt, N)
+            # the sum of squares by einsum, not np.dot: BLAS threads its dot
+            # above 10^4 elements, which doubled the batch step time while
+            # two flow workers ran; NaN fails the comparison, so it always
+            # reaches the exact check
+            if not np.einsum("i,i", flat, flat) <= _BLOWUP_SCREEN:
+                peaks = np.abs(a).max(axis=1)
+                bad = np.flatnonzero(~(peaks <= _BLOWUP_LIMIT))
+                if bad.size:
+                    raise _blowup((first + bad).tolist(), t0 + (k + 1) * dt, dt, N)
     return a
 
 
@@ -339,10 +375,10 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     inclusive, and increasing; they are checked before the iterator is
     returned. States are yielded as they are reached, so a checkpointed run
     does the arithmetic of an uninterrupted one, and fixed 512-row chunks keep
-    it independent of the worker count. The stage kernels' tables are built
-    once, when the first segment that takes a step starts, and every chunk of
-    every segment reads them; a run with no step builds none. workers=None
-    runs on every CPU the process may use.
+    it independent of the worker count. The stage kernels' tables are taken
+    from their per-(N, dt) cache, or built, when the first segment that takes
+    a step starts, and every chunk of every segment reads them; a run with no
+    step asks for none. workers=None runs on every CPU the process may use.
     """
     times = [float(t) for t in times]
     if not times:

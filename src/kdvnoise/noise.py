@@ -15,7 +15,8 @@ to one PCG64 and draws the row's 2N normals with one call (the ziggurat
 keeps no cache between calls, so this equals the two N-draws). NumPy's
 random policy (NEP 19) keeps the SeedSequence hash, PCG64 seeding and the
 normal stream fixed across releases, and the tests compare every row byte
-for byte with the per-row construction.
+for byte with the per-row construction. decay_median_curve, whose rows share
+one stream over a range of seeds, hashes those seeds the same way.
 """
 from __future__ import annotations
 
@@ -66,6 +67,7 @@ _POOL = 4
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _M128 = (1 << 128) - 1
 _BLOCK = 512  # rows per hash pass and per draw buffer
+_DECAY_VALUES = 2**16  # complex values per decay_median_curve draw block
 _Z99 = 2.576  # two-sided 99% standard normal quantile: Wilson intervals and the fit's ci99
 
 
@@ -152,6 +154,44 @@ def _pcg_states(seed, start, stop):
             out.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128, inc))
         start = hi
     return out
+
+
+def _seed_states(seed0, count, stream):
+    """PCG64 (state, inc) of SeedSequence([s, stream]) for s in seed0..seed0+count-1.
+
+    _pcg_states with the seed varying instead of the stream: the range is cut
+    where the high words of s change, so a piece is one _generate_state pass
+    in which only s's low word varies.
+    """
+    stream_words = _int_words(stream)
+    out = []
+    start, stop = seed0, seed0 + count
+    while start < stop:
+        hi = min(stop, (start | _M32) + 1)
+        words = _int_words(start) + stream_words
+        words += [0] * (_POOL - len(words))
+        entropy = np.repeat(np.array(words, dtype=np.uint32)[:, None], hi - start, axis=1)
+        entropy[0] += np.arange(hi - start, dtype=np.uint32)
+        s0, s1, i0, i1 = _generate_state(entropy).tolist()
+        for a, b, c, d in zip(s0, s1, i0, i1):
+            inc = ((c << 64 | d) << 1 | 1) & _M128
+            out.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128, inc))
+        start = hi
+    return out
+
+
+def _draw_rows(states, parts):
+    """Fill row i of parts with the 2N normals of the PCG64 (state, inc) states[i]."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for row, (state, inc) in zip(parts, states):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=row)
 
 
 def _sample_blocks(N, count, seed, stream_start, out=None):
@@ -297,23 +337,45 @@ def fit_log_tail(rows):
     }
 
 
+def _check_block(M):
+    if M < 1 or (M & (M - 1)) != 0:
+        raise ValueError(f"M must be a power of two, got {M}")
+
+
 def decay_ratio(M, delta, seed):
     """Block concentration statistic M^(1-delta) * max|g|^2 / sum|g|^2.
 
     g runs over one dyadic block {M..2M-1} of independent standard complex
-    Gaussians; M must be a power of two.
+    Gaussians, the stream M row of seed; M must be a power of two.
     """
-    if M < 1 or (M & (M - 1)) != 0:
-        raise ValueError(f"M must be a power of two, got {M}")
+    _check_block(M)
     g = sample_batch(M, 1, seed, stream_start=M)[0]
     mags = np.abs(g) ** 2
     return float(M ** (1.0 - delta) * mags.max() / mags.sum())
 
 
 def decay_median_curve(Ms, delta, n_seeds, seed0=0):
-    """Median of decay_ratio over seeds seed0..seed0+n_seeds-1, per block size."""
+    """Median of decay_ratio over seeds seed0..seed0+n_seeds-1, per block size.
+
+    Each block size M hashes the stream M states of all n_seeds seeds in one
+    pass and draws their rows in blocks of at most _DECAY_VALUES values; the
+    ratios equal decay_ratio's bit for bit.
+    """
+    seed0, _ = _check_rows(1, n_seeds, seed0, 0)
     out = []
     for M in Ms:
-        vals = [decay_ratio(M, delta, seed0 + k) for k in range(n_seeds)]
+        _check_block(M)
+        states = _seed_states(seed0, n_seeds, M)
+        rows = max(1, min(n_seeds, _DECAY_VALUES // M))
+        parts = np.empty((rows, 2 * M))
+        g = np.empty((rows, M), dtype=np.complex128)
+        vals = np.empty(n_seeds)
+        for b0 in range(0, n_seeds, rows):
+            n = min(rows, n_seeds - b0)
+            _draw_rows(states[b0 : b0 + n], parts)
+            g[:n].real = parts[:n, :M]
+            g[:n].imag = parts[:n, M:]
+            mags = np.abs(g[:n]) ** 2
+            vals[b0 : b0 + n] = M ** (1.0 - delta) * mags.max(axis=1) / mags.sum(axis=1)
         out.append(float(np.median(vals)))
     return out

@@ -99,7 +99,7 @@ class TestNonlinearTerm:
         # the FFT grid is the power of two above 3N; at gap 1 one point
         # fewer would alias mode -2N onto N
         gap = {5: 1, 9: 1, 10: 2, 11: 3, 12: 4, 21: 1, DENSE: 4, FFT: 61, 85: 1}
-        assert flow._Kernels(N, []).M - 3 * N == gap[N]
+        assert flow._Kernels(N, [], []).M - 3 * N == gap[N]
         f = wn(N, 79)
         expect = oracles.nonlinear_pseudospectral(f.coeffs)
         got = nonlinear_term(f).coeffs
@@ -112,14 +112,16 @@ class TestNonlinearTerm:
         # the FFT kernel on the power of two above 3N, with no phase and
         # with a generic one folded in; at N=1 the term vanishes, so the
         # bound there is absolute (the rows have unit variance)
-        rows = sample_batch(N, count, 81)
+        rows = sample_batch(N, count, 81).view(np.float64)
         for ph in (np.ones(N, dtype=complex), flow._airy_phase(N, 0.37)):
             M = _dealias_length(N)
             buf = np.zeros((count, M // 2 + 1), dtype=complex)
-            want = flow._fft_rows(rows, np.empty_like(rows), flow._fft_tables(N, M, ph), buf)
+            tables = flow._fft_tables(N, M, ph, 1.0)
+            want = flow._fft_rows(rows, np.empty_like(rows), tables, buf).view(complex)
             M = flow._dense_length(N)
-            tables = flow._dense_tables(N, M, ph)
+            tables = flow._dense_tables(N, M, ph, 1.0)
             got = flow._dense_rows(rows, np.empty_like(rows), tables, np.empty((count, M)))
+            got = got.view(complex)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
 
     @pytest.mark.parametrize("N", [16, DENSE, FFT])
@@ -127,9 +129,9 @@ class TestNonlinearTerm:
         # G_c(x+y) + G_c(x-y) = 2 G_c(x) + 2 G_c(y) for each stage kernel,
         # the identity that carries a tangent vector through a stage
         x, y = sample_batch(N, 8, 82), sample_batch(N, 8, 83)
-        rows = np.concatenate([x + y, x - y, x, y])
+        rows = np.concatenate([x + y, x - y, x, y]).view(np.float64)
         for G in flow._stage_kernels(N, 2.0**-14).bind(len(rows)):
-            g = G(rows, np.empty_like(rows)).reshape(4, 8, N)
+            g = G(rows, np.empty_like(rows)).view(complex).reshape(4, 8, N)
             rhs = 2.0 * g[2] + 2.0 * g[3]
             assert np.max(np.abs(g[0] + g[1] - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
@@ -187,6 +189,18 @@ class TestStep:
         back = evolve(f, FlowConfig(dt=1e-3, T=-1e-3))[-1][1]
         assert np.array_equal(step(f, -1e-3).coeffs, back.coeffs)
 
+    @pytest.mark.parametrize("N", [16, FFT])
+    def test_zero_step_keeps_bytes_and_steps_reverse(self, N):
+        # the RK4 weights live in the tables, so dt = 0 zeroes them and the
+        # state passes through bit for bit; a step and its reverse return
+        # to the start up to the scheme's O(h^5) local error (resonance
+        # number h * 3N^3/4 about 0.2 at both cutoffs)
+        f = wn(N, 7)
+        assert step(f, 0.0).coeffs.tobytes() == f.coeffs.tobytes()
+        h = 2.0**-14 if N <= 16 else 2.0**-20
+        back = step(step(f, h), -h).coeffs
+        assert np.linalg.norm(back - f.coeffs) <= 1e-10 * np.linalg.norm(f.coeffs)
+
     def test_richardson_order4(self):
         # self-convergence at a stable configuration
         f = wn(32, 5)
@@ -213,6 +227,28 @@ class TestStep:
         states = evolve_checkpoints(coeffs, FlowConfig(dt=0.01, T=1.0), [0.5, 1.0], workers=2)
         with pytest.raises(IntegratorBlowupError, match=r"members \[550\]"):
             list(states)
+
+    def test_large_block_below_limit_passes_screen_fallback(self):
+        # 512 members at |coeff| = 3e7: the block's sum of squares fails the
+        # one-dot screen, and the exact check finds no member above 1e8
+        phase = np.exp(2j * np.pi * sample_batch(16, 512, 24).real)
+        coeffs = 3e7 * phase
+        assert np.sum(np.abs(coeffs) ** 2) > flow._BLOWUP_SCREEN
+        out = evolve_batch(coeffs, FlowConfig(dt=1e-12, T=1e-12))
+        assert np.all(np.abs(out) < flow._BLOWUP_LIMIT)
+        assert np.max(np.abs(np.abs(out) - 3e7)) < 1e-2 * 3e7
+
+    def test_blowup_names_nonfinite_members(self):
+        # a NaN and an inf member raise at the first step and are named;
+        # the screen's dot is NaN or inf, so the exact check runs
+        dt = 0.01
+        coeffs = sample_batch(8, 600, 25)
+        coeffs[300, 2] = np.nan
+        coeffs[550, 5] = np.inf
+        with pytest.raises(IntegratorBlowupError, match=r"members \[300, 550\]") as exc:
+            evolve_batch(coeffs, FlowConfig(dt=dt, T=1.0), workers=1)
+        assert exc.value.members == [300, 550]
+        assert exc.value.t == dt
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blowup_names_every_chunk(self, workers):
@@ -302,14 +338,16 @@ class TestEvolve:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The cutoff of every _Kernels built while the test runs."""
+        """The cutoff of every _Kernels built while the test runs, from an empty cache."""
         built = []
         init = flow._Kernels.__init__
 
-        def counted(self, N, phases):
+        def counted(self, N, phases, scales):
             built.append(N)
-            init(self, N, phases)
+            init(self, N, phases, scales)
 
+        flow._stage_kernels.cache_clear()
+        flow._plain_kernel.cache_clear()
         monkeypatch.setattr(flow._Kernels, "__init__", counted)
         return built
 
@@ -319,8 +357,36 @@ class TestEvolve:
         traj = evolve(wn(DENSE, 20), cfg, checkpoints=[2 * dt, 4 * dt, 6 * dt, 8 * dt])
         assert len(traj) == 4 and builds == [DENSE]
         builds.clear()
+        flow._stage_kernels.cache_clear()
         evolve_batch(sample_batch(DENSE, 1100, 21), cfg, workers=2)
         assert builds == [DENSE]
+        # the tables outlive the run: a repeated run builds nothing, a new
+        # dt builds once, and step and nonlinear_term share the caches
+        builds.clear()
+        evolve_batch(sample_batch(DENSE, 1100, 21), cfg, workers=2)
+        step(wn(DENSE, 20), dt)
+        assert builds == []
+        evolve_batch(sample_batch(DENSE, 3, 21), FlowConfig(dt=dt / 2, T=4 * dt))
+        step(wn(DENSE, 20), dt / 2)
+        assert builds == [DENSE]
+        nonlinear_term(wn(DENSE, 20))
+        nonlinear_term(wn(DENSE, 21))
+        assert builds == [DENSE, DENSE]
+
+    @pytest.mark.parametrize("N", [16, FFT])
+    def test_cached_tables_are_read_only_and_bounded(self, builds, N):
+        kernels = [flow._stage_kernels(N, 2.0**-18), flow._plain_kernel(N)]
+        arrays = [arr for ks in kernels for arr in [*ks.phases, *(t for ts in ks.tables for t in ts)]]
+        assert len(arrays) == 4 + 2 * 4  # four phase vectors, two tables per kernel
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        bound = flow._TABLE_SETS
+        for j in range(bound + 3):
+            flow._stage_kernels(N, 2.0 ** -(10 + j))
+        info = flow._stage_kernels.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
 
     def test_no_tables_without_a_step(self, builds):
         # a run that takes no step, by T=0 or with every checkpoint at t=0,

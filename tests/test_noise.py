@@ -6,6 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
+from kdvnoise import noise
 from kdvnoise.noise import (
     GaussianSampleSpec,
     _wilson,
@@ -104,6 +105,18 @@ class TestStreamExactness:
     def test_decay_ratio_is_the_stream_m_row(self, M):
         mags = np.abs(oracles.gaussian_rows(M, 1, 9, M)[0]) ** 2
         assert decay_ratio(M, 0.3, 9) == float(M**0.7 * mags.max() / mags.sum())
+
+    @pytest.mark.parametrize("seed0", [0, 2**32 - 3, 2**64 - 2])
+    def test_seed_range_rows(self, seed0):
+        # the decay curve's path: seeds seed0.. at one stream, hashed in one
+        # pass per piece; five seeds from 2^32-3 or 2^64-2 gain a word
+        N, count, stream = 5, 5, 64
+        parts = np.empty((count, 2 * N))
+        noise._draw_rows(noise._seed_states(seed0, count, stream), parts)
+        want = np.concatenate(
+            [oracles.gaussian_rows(N, 1, seed0 + k, stream) for k in range(count)]
+        )
+        assert (parts[:, :N] + 1j * parts[:, N:]).tobytes() == want.tobytes()
 
     def test_negative_seed_or_stream(self):
         with pytest.raises(ValueError):
@@ -245,6 +258,18 @@ class TestDecayRatio:
 
     def test_determinism(self):
         assert decay_ratio(16, 0.5, 3) == decay_ratio(16, 0.5, 3)
+
+    @pytest.mark.parametrize("seed0", [0, 2**32 - 2])
+    def test_median_curve_is_median_of_ratios(self, seed0):
+        # bit for bit; at M = 2^13 and 2^17 the 20 seeds take several draw
+        # blocks, at 2^17 one row each
+        Ms = [1, 2, 64, 2**13, 2**17]
+        want = [float(np.median([decay_ratio(M, 0.2, seed0 + k) for k in range(20)])) for M in Ms]
+        assert decay_median_curve(Ms, 0.2, 20, seed0) == want
+        with pytest.raises(ValueError):
+            decay_median_curve([4, 12], 0.2, 20)
+        with pytest.raises(ValueError):
+            decay_median_curve([4], 0.2, 20, seed0=-1)
 
     def test_median_curve_decreasing_from_threshold(self):
         # at delta=0.5 the max-to-sum statistic's median falls steadily once
