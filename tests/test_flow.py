@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -387,6 +388,25 @@ class TestEvolve:
             flow._stage_kernels(N, 2.0 ** -(10 + j))
         info = flow._stage_kernels.cache_info()
         assert info.maxsize == bound and info.currsize == bound
+
+    def test_cache_shared_by_concurrent_runs(self):
+        # six threads on two cores run evolve_batch at two steps through the
+        # one table cache, with a short switch interval; each result equals
+        # its serial run bit for bit
+        dt = 2.0**-12
+        rows = sample_batch(16, 40, 26)
+        cfgs = [FlowConfig(dt=h, T=4 * h) for h in (dt, dt / 2)] * 3
+        want = [evolve_batch(rows, cfg, workers=1) for cfg in cfgs]
+        flow._stage_kernels.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
+                futures = [pool.submit(evolve_batch, rows, cfg, 1) for cfg in cfgs]
+                got = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_no_tables_without_a_step(self, builds):
         # a run that takes no step, by T=0 or with every checkpoint at t=0,
