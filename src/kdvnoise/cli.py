@@ -21,7 +21,8 @@ from .config import ConfigError, config_hash, load_config
 from .estimates import SpaceTimeCoeffs, WeightParams, bilinear_ratio_sweep, \
     bracket_product_integral, family_points, quadratic_bracket_sum, \
     resonance_residual_max, resonance_set_integral, time_localization_check
-from .flow import FlowConfig, IntegratorBlowupError, conservation_rows, evolve_checkpoints
+from .flow import FlowConfig, IntegratorBlowupError, _run_blas_threads, conservation_rows, \
+    evolve_checkpoints
 from .invariance import ObservableSpec, _evolved, generate, invariance_report, push_forward
 from .noise import decay_median_curve, fit_log_tail, tail_sweep
 from .snapshots import SnapshotError, load_ensemble, save_ensemble, write_atomic
@@ -126,6 +127,8 @@ def cmd_invariance(cfg, h, out):
         fc = FlowConfig(dt=cfg["dt"], T=cfg["T"])
     evolved = push_forward(base, fc)
     report = invariance_report(base, evolved, _headline_observables(), cfg["alpha"])
+    # the OpenBLAS threads the flow ran on: 1, or null without the thread control
+    report["blas_threads"] = _run_blas_threads()
     _write_json(out, "report.json", h, report)
     _write_csv(out, "observables.csv", h, report["observables"])
     return 0

@@ -17,13 +17,22 @@ Each RK4 stage calls one kernel, G_c(x) = E(-c dt) F(E(c dt) x) with c = 0,
 tables carry the RK4 weights, dt/6 for G_0 and G_1 and dt/3 for G_1/2, so
 the stages return k1 = dt/6 G_0(a), k2 = dt/3 G_1/2(a + 3 k1),
 k3 = dt/3 G_1/2(a + 1.5 k2) and k4 = dt/6 G_1(a + 3 k3), and the step is
-a = E(dt) (a + ((k1 + k2) + k3) + k4), one reduction over the stage buffer.
-The kernels and the stage arithmetic read the rows as interleaved floats;
-only that closing phase reads them as complex. The tables are built once per
-(N, dt) per process, kept read-only in a small cache and shared by every
-chunk of every run with that step. After each step one dot product screens
-the whole block against the blowup limit; only a block that fails it (or
-holds a NaN or inf) is checked member by member.
+a = E(dt) (a + k1 + k2 + k3 + k4). The state and the stages are the rows of
+one float stack, [k3, k1, a, k2, k4], so each stage input and the step's sum
+is one BLAS product of a weight vector with adjacent rows. The kernels and
+these sums read the rows as interleaved floats; only the closing phase reads
+them as complex. The tables are built once per (N, dt) per process, kept
+read-only in a small cache and shared by every chunk of every run with that
+step. After each step one dot product screens the whole block against the
+blowup limit; only a block that fails it (or holds a NaN or inf) is checked
+member by member. On the dense route a step is 18 array calls.
+
+Each batch run (_run_batch) holds the OpenBLAS that numpy bundles at one
+thread and gives the caller's thread count back when it ends:
+the flow's workers are its only parallelism, so BLAS threads would only
+oversubscribe the cores, and one thread fixes the products' summation order,
+so results are bit-exact across BLAS settings. Without that library's thread
+control the runs leave BLAS as they find it, and _run_blas_threads says so.
 
 Two kernels evaluate G_c, picked by N alone. Up to _DENSE_MAX_N = 64 they
 are two dense real DFT products with the phases folded into the tables, on
@@ -36,9 +45,13 @@ and 1.1 against 1.9 ms for 512 rows; at N=80 the FFT was even for 16 rows
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import functools
+import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -75,6 +88,12 @@ _CHUNK_ROWS = 512  # fixed so worker count never changes the arithmetic
 _DENSE_MAX_N = 64  # largest cutoff whose quadratic term uses the dense route
 _FD_EPS = 1e-4  # central-difference step of the Liouville probes
 _TABLE_SETS = 8  # (N, dt) table sets kept per cache: at most 1.2 MB each
+# weights over the stage stack [k3, k1, a, k2, k4]: the inputs of stages 2, 3
+# and 4 from rows 1:3, 2:4 and 0:3, and the step's sum from all five
+_W_K1 = np.array([3.0, 1.0])
+_W_K2 = np.array([1.0, 1.5])
+_W_K3 = np.array([3.0, 0.0, 1.0])
+_W_STEP = np.ones(5)
 
 
 class IntegratorBlowupError(RuntimeError):
@@ -277,54 +296,112 @@ def airy_propagate(f, t):
     return FourierField(f.N, f.coeffs * _airy_phase(f.N, t))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or None.
+
+    Looked up once, in numpy.libs beside the numpy package; None when that
+    library or its thread calls are not there.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+# the thread count is one per process, so the hold on it is too
+_blas_lock = threading.Lock()
+_blas_runs = 0  # flow runs now holding OpenBLAS at one thread
+_blas_saved = None  # the caller's thread count, put back when the last run ends
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread for the body; yields 1, or None if it cannot.
+
+    The flow's workers are its only parallelism, and one thread keeps the
+    dense products' arithmetic fixed. Concurrent runs share the hold: the
+    first to enter saves the caller's thread count and the last to leave,
+    normally or by an exception, restores it. Without the thread control it
+    does nothing and yields None.
+    """
+    global _blas_runs, _blas_saved
+    calls = _openblas_threads()
+    if calls is None:
+        yield None
+        return
+    get, put = calls
+    with _blas_lock:
+        if _blas_runs == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_runs += 1
+    try:
+        yield 1
+    finally:
+        with _blas_lock:
+            _blas_runs -= 1
+            if _blas_runs == 0:
+                put(_blas_saved)
+
+
+def _run_blas_threads():
+    """OpenBLAS threads a flow run holds: 1, or None without the thread control."""
+    return None if _openblas_threads() is None else 1
+
+
 def _rk4_chunk(rows, kernels, dt, nsteps, t0, first):
     """Integrating-factor RK4 on a (count, N) block; dt may be negative.
 
     kernels are _stage_kernels(N, dt), whose tables the chunk only reads.
     t0 and first are the block's start time and first member index within
     the run; they only place a blowup in the error message. The grid buffer,
-    the four stages and the stage input are made once per call, so
+    the stage stack and the stage input are made once per call, so
     concurrent chunks never share a buffer.
     """
     count, N = rows.shape
     G0, Gh, Gf = kernels.bind(count)
     ph_f = kernels.phases[2]
-    a = rows.copy()
-    # the kernels and the stage arithmetic read rows as interleaved floats;
-    # only the phase that ends a step reads a as complex
-    af = a.view(np.float64)
-    flat = af.reshape(-1)
-    stages = np.empty((5, count, 2 * N))
-    k1, k2, k3, k4, x = stages
+    # the stack's order puts each weighted sum's rows next to each other;
+    # only the phase that ends a step reads the rows as complex
+    stack = np.empty((5, count * 2 * N))
+    k3, k1, a, k2, k4 = stack.reshape(5, count, 2 * N)
+    x = np.empty(count * 2 * N)
+    xs, xc = x.reshape(count, 2 * N), x.view(np.complex128).reshape(count, N)
+    ac, flat = a.view(np.complex128), stack[2]
+    ac[...] = rows
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
             # stage input a + c dt G = a + (c dt / w) k for the previous
-            # stage's k = w G: factors 3, 1.5 and 3
-            G0(af, k1)
-            np.multiply(3.0, k1, out=x)
-            np.add(af, x, out=x)
-            Gh(x, k2)
-            np.multiply(1.5, k2, out=x)
-            np.add(af, x, out=x)
-            Gh(x, k3)
-            np.multiply(3.0, k3, out=x)
-            np.add(af, x, out=x)
-            Gf(x, k4)
-            # a = ph_f * (a + (((k1 + k2) + k3) + k4))
-            np.add.reduce(stages[:4], axis=0, out=x)
-            np.add(af, x, out=af)
-            np.multiply(ph_f, a, out=a)
-            # the sum of squares by einsum, not np.dot: BLAS threads its dot
-            # above 10^4 elements, which doubled the batch step time while
-            # two flow workers ran; NaN fails the comparison, so it always
-            # reaches the exact check
-            if not np.einsum("i,i", flat, flat) <= _BLOWUP_SCREEN:
-                peaks = np.abs(a).max(axis=1)
+            # stage's k = w G: factors 3, 1.5 and 3; the zero weight on k1
+            # only turns an infinite k1 into a NaN, which the screen catches
+            G0(a, k1)
+            np.matmul(_W_K1, stack[1:3], out=x)
+            Gh(xs, k2)
+            np.matmul(_W_K2, stack[2:4], out=x)
+            Gh(xs, k3)
+            np.matmul(_W_K3, stack[0:3], out=x)
+            Gf(xs, k4)
+            # a = ph_f * (a + k1 + k2 + k3 + k4)
+            np.matmul(_W_STEP, stack, out=x)
+            np.multiply(ph_f, xc, out=ac)
+            # _run_batch holds BLAS at one thread, so this dot and the sums
+            # above start no BLAS threads (step's one row is too small to);
+            # NaN fails the comparison, so it always reaches the exact check
+            if not np.dot(flat, flat) <= _BLOWUP_SCREEN:
+                peaks = np.abs(ac).max(axis=1)
                 bad = np.flatnonzero(~(peaks <= _BLOWUP_LIMIT))
                 if bad.size:
                     raise _blowup((first + bad).tolist(), t0 + (k + 1) * dt, dt, N)
-    return a
+    return ac
 
 
 def _run_batch(rows, kernels, dt, nsteps, workers, t0):
@@ -347,11 +424,12 @@ def _run_batch(rows, kernels, dt, nsteps, workers, t0):
     if workers is None:  # every CPU this process may run on
         affinity = hasattr(os, "sched_getaffinity")
         workers = len(os.sched_getaffinity(0)) if affinity else os.cpu_count() or 1
-    if workers <= 1 or len(chunks) == 1:
-        results = [work(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
+    with _one_blas_thread():
+        if workers <= 1 or len(chunks) == 1:
+            results = [work(c) for c in chunks]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(work, chunks))
     # every chunk runs to its end or its own blowup; report them all at once
     failures = [r for r in results if r is not None]
     if failures:

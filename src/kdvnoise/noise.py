@@ -7,12 +7,12 @@ stream_start+i: the N real parts, then the N imaginary parts, drawn by
 default_rng(SeedSequence([seed, stream])). Any member of any ensemble can
 therefore be regenerated from (seed, stream), independently of batch layout.
 
-The sampling loop behind sample_batch and tail_sweep builds none of those
-per-row objects. It hashes the SeedSequence pools and generate_state words
-of 512 streams at once in uint32 arithmetic, turns each row's four words
-into the PCG64 (state, inc) by the 128-bit set-seed step, assigns that state
-to one PCG64 and draws the row's 2N normals with one call (the ziggurat
-keeps no cache between calls, so this equals the two N-draws). NumPy's
+The sampling loop behind sample_batch and tail_sweep builds no per-row
+SeedSequence. It hashes the SeedSequence pools and generate_state words of
+512 streams at once in uint32 arithmetic, hands each row's four words to a
+PCG64 through a minimal ISeedSequence, so numpy's own set-seed step makes
+the state, and draws the row's 2N normals with one call (the ziggurat keeps
+no cache between calls, so this equals the two N-draws). NumPy's
 random policy (NEP 19) keeps the SeedSequence hash, PCG64 seeding and the
 normal stream fixed across releases, and the tests compare every row byte
 for byte with the per-row construction. decay_median_curve, whose rows share
@@ -25,6 +25,7 @@ import math
 import operator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # besov_norm_batch stays importable from here: bench/workloads.py traces
 # noise.besov_norm_batch
@@ -57,15 +58,12 @@ class GaussianSampleSpec:
             raise ValueError("seed and stream must be nonnegative")
 
 
-# SeedSequence hash constants (numpy/random/bit_generator.pyx) and the 128-bit
-# PCG multiplier (numpy/random/src/pcg64/pcg64.h)
+# SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M128 = (1 << 128) - 1
 _BLOCK = 512  # rows per hash pass and per draw buffer
 _DECAY_VALUES = 2**16  # complex values per decay_median_curve draw block
 _Z99 = 2.576  # two-sided 99% standard normal quantile: Wilson intervals and the fit's ci99
@@ -132,72 +130,54 @@ def _generate_state(entropy):
     return state[0::2] | state[1::2] << np.uint64(32)
 
 
-def _pcg_states(seed, start, stop):
-    """PCG64 (state, inc) of SeedSequence([seed, s]) for s in range(start, stop).
+class _Words(ISeedSequence):
+    """A seed sequence that gives PCG64 one row's four hashed uint64 words.
 
-    The range is cut where the high words of s change, so within a piece only
-    the low word varies and every other entropy word is a constant.
+    PCG64 asks it for generate_state(4, uint64) and reads the raw buffer,
+    so words must be a C-contiguous uint64 array of 4; numpy's own set-seed
+    step then makes the state.
     """
-    seed_words = _int_words(seed)
-    out = []
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _seed_words(seed, stream, count, step_seed=False):
+    """generate_state(4, uint64) of SeedSequence([seed, stream]) for count rows.
+
+    The stream, or with step_seed the seed, runs over count consecutive
+    values. The range is cut where the high words of that value change, so
+    within a piece only its low word varies and every other entropy word is
+    a constant. Returns a C-contiguous (count, 4) uint64 array.
+    """
+    out = np.empty((count, 4), dtype=np.uint64)
+    lo = start = seed if step_seed else stream
+    stop = start + count
     while start < stop:
         hi = min(stop, (start | _M32) + 1)
-        high = _int_words(start >> 32) if start >> 32 else []
-        words = seed_words + [start & _M32] + high
+        seed_words = _int_words(start if step_seed else seed)
+        words = seed_words + _int_words(stream if step_seed else start)
         words += [0] * (_POOL - len(words))
         entropy = np.repeat(np.array(words, dtype=np.uint32)[:, None], hi - start, axis=1)
-        entropy[len(seed_words)] += np.arange(hi - start, dtype=np.uint32)
-        s0, s1, i0, i1 = _generate_state(entropy).tolist()
-        # pcg64_set_seed: inc = 2*seq+1, state = (inc + initstate)*mult + inc
-        for a, b, c, d in zip(s0, s1, i0, i1):
-            inc = ((c << 64 | d) << 1 | 1) & _M128
-            out.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128, inc))
+        entropy[0 if step_seed else len(seed_words)] += np.arange(hi - start, dtype=np.uint32)
+        out[start - lo : hi - lo] = _generate_state(entropy).T
         start = hi
     return out
 
 
-def _seed_states(seed0, count, stream):
-    """PCG64 (state, inc) of SeedSequence([s, stream]) for s in seed0..seed0+count-1.
-
-    _pcg_states with the seed varying instead of the stream: the range is cut
-    where the high words of s change, so a piece is one _generate_state pass
-    in which only s's low word varies.
-    """
-    stream_words = _int_words(stream)
-    out = []
-    start, stop = seed0, seed0 + count
-    while start < stop:
-        hi = min(stop, (start | _M32) + 1)
-        words = _int_words(start) + stream_words
-        words += [0] * (_POOL - len(words))
-        entropy = np.repeat(np.array(words, dtype=np.uint32)[:, None], hi - start, axis=1)
-        entropy[0] += np.arange(hi - start, dtype=np.uint32)
-        s0, s1, i0, i1 = _generate_state(entropy).tolist()
-        for a, b, c, d in zip(s0, s1, i0, i1):
-            inc = ((c << 64 | d) << 1 | 1) & _M128
-            out.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128, inc))
-        start = hi
-    return out
-
-
-def _draw_rows(states, parts):
-    """Fill row i of parts with the 2N normals of the PCG64 (state, inc) states[i]."""
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for row, (state, inc) in zip(parts, states):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=row)
+def _draw_rows(words, parts):
+    """Fill row i of parts with the 2N normals of the PCG64 seeded by words[i]."""
+    for row, w in zip(parts, words):
+        np.random.Generator(np.random.PCG64(_Words(w))).standard_normal(out=row)
 
 
 def _sample_blocks(N, count, seed, stream_start, out=None):
     """The sampling loop: rows stream_start..stream_start+count of seed.
 
-    Each pass hashes the PCG states of up to _BLOCK streams and draws their
+    Each pass hashes the seed words of up to _BLOCK streams and draws their
     rows into one parts buffer. The rows go into out[b0:b1] when out is
     given, else into one reused (<= _BLOCK, N) block, which the next pass
     overwrites. Yields (b0, block) for each filled block.
@@ -205,19 +185,9 @@ def _sample_blocks(N, count, seed, stream_start, out=None):
     block = None if out is not None else np.empty((min(count, _BLOCK), N), dtype=np.complex128)
     # each row's N real then N imaginary parts
     parts = np.empty((min(count, _BLOCK), 2 * N))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
     for b0 in range(0, count, _BLOCK):
         b1 = min(count, b0 + _BLOCK)
-        states = _pcg_states(seed, stream_start + b0, stream_start + b1)
-        for row, (state, inc) in zip(parts, states):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.standard_normal(out=row)
+        _draw_rows(_seed_words(seed, stream_start + b0, b1 - b0), parts)
         rows = parts[: b1 - b0].reshape(b1 - b0, 2, N)
         dest = out[b0:b1] if out is not None else block[: b1 - b0]
         dest.real = rows[:, 0]
@@ -365,14 +335,14 @@ def decay_median_curve(Ms, delta, n_seeds, seed0=0):
     out = []
     for M in Ms:
         _check_block(M)
-        states = _seed_states(seed0, n_seeds, M)
+        words = _seed_words(seed0, M, n_seeds, step_seed=True)
         rows = max(1, min(n_seeds, _DECAY_VALUES // M))
         parts = np.empty((rows, 2 * M))
         g = np.empty((rows, M), dtype=np.complex128)
         vals = np.empty(n_seeds)
         for b0 in range(0, n_seeds, rows):
             n = min(rows, n_seeds - b0)
-            _draw_rows(states[b0 : b0 + n], parts)
+            _draw_rows(words[b0 : b0 + n], parts)
             g[:n].real = parts[:n, :M]
             g[:n].imag = parts[:n, M:]
             mags = np.abs(g[:n]) ** 2

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import kdvnoise
 from kdvnoise import __version__
-from kdvnoise import cli
+from kdvnoise import cli, flow
 from kdvnoise.cli import main
 from kdvnoise.config import _REQUIRED, _SCHEMAS, ConfigError, config_hash, load_config
 from kdvnoise.estimates import SpaceTimeCoeffs, family_points, time_localization_check
@@ -694,6 +694,23 @@ class TestCmdInvariance:
         assert main(["invariance", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["overall_pass"] is True
+
+    @pytest.mark.parametrize("control", [True, False])
+    def test_blas_threads_recorded(self, tmp_path, capsys, monkeypatch, control):
+        # 1 when the flow held OpenBLAS at one thread, null when the thread
+        # control was not found
+        if not control:
+            monkeypatch.setattr(flow, "_openblas_threads", lambda: None)
+        elif flow._openblas_threads() is None:
+            pytest.skip("numpy's bundled OpenBLAS thread control is not available")
+        cfg = write_ini(
+            tmp_path / "c.ini", "invariance",
+            N=8, count=50, seed=2, dt=1e-3, T=0.01, alpha=0.01,
+        )
+        out = tmp_path / "o"
+        assert main(["invariance", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["blas_threads"] == (1 if control else None)
 
     def test_one_member_exit_2(self, tmp_path, capsys):
         cfg = write_ini(

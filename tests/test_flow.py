@@ -469,20 +469,107 @@ def blas_digests():
     return runs
 
 
-_BLAS_ULP = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the dense route's products at N = 48..64 differ by "
-    "about one ulp between one and two BLAS threads",
-)
+@pytest.fixture
+def caller_threads():
+    """The caller's OpenBLAS thread count, set to 3 for the test and put back after."""
+    calls = flow._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread control is not available")
+    get, put = calls
+    saved = get()
+    put(3)
+    try:
+        yield get
+    finally:
+        put(saved)
+
+
+@pytest.fixture
+def run_threads(monkeypatch, caller_threads):
+    """The OpenBLAS thread counts seen at the start of each chunk of a run."""
+    seen = []
+    chunk = flow._rk4_chunk
+
+    def counted(*args):
+        seen.append(caller_threads())
+        return chunk(*args)
+
+    monkeypatch.setattr(flow, "_rk4_chunk", counted)
+    return seen
 
 
 class TestBlasThreads:
-    @pytest.mark.parametrize(
-        "N", [16, pytest.param(48, marks=_BLAS_ULP), pytest.param(64, marks=_BLAS_ULP), 65]
-    )
+    @pytest.mark.parametrize("N", [16, 48, 64, 65])
     def test_digest_independent_of_blas_threads(self, blas_digests, N):
         digests = {runs[f"{N}/{w}"] for runs in blas_digests.values() for w in (1, 2)}
         assert len(digests) == 1
+
+    def test_one_thread_inside_a_run(self, caller_threads, run_threads):
+        rows = sample_batch(16, 1100, 32)
+        evolve_batch(rows, FlowConfig(dt=2.0**-12, T=4 * 2.0**-12), workers=2)
+        assert run_threads == [1, 1, 1]
+        assert caller_threads() == 3
+
+    def test_restored_after_a_blowup(self, caller_threads):
+        coeffs = np.zeros((600, 8), dtype=complex)
+        coeffs[550] = 100.0 * wn(8, 6).coeffs
+        with pytest.raises(IntegratorBlowupError):
+            evolve_batch(coeffs, FlowConfig(dt=0.01, T=1.0), workers=2)
+        assert caller_threads() == 3
+
+    def test_restored_when_a_chunk_raises(self, caller_threads, monkeypatch):
+        # an error other than a blowup leaves the run from inside the hold
+        def fail(*args):
+            raise MemoryError("chunk buffer")
+
+        monkeypatch.setattr(flow, "_rk4_chunk", fail)
+        with pytest.raises(MemoryError):
+            evolve_batch(sample_batch(8, 600, 34), FlowConfig(dt=0.01, T=0.02), workers=2)
+        assert caller_threads() == 3
+
+    def test_restored_after_concurrent_runs(self, caller_threads, run_threads):
+        # six overlapping runs; whichever ends last puts the count back
+        cfg = FlowConfig(dt=2.0**-12, T=8 * 2.0**-12)
+        rows = [sample_batch(16, 600, 40 + k) for k in range(6)]
+        want = [evolve_batch(r, cfg, workers=1) for r in rows]
+        assert caller_threads() == 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(rows)) as pool:
+                futures = [pool.submit(evolve_batch, r, cfg, 1) for r in rows]
+                got = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert set(run_threads) == {1}
+        assert caller_threads() == 3
+
+    def test_nested_holds_restore_once(self, caller_threads):
+        # the first hold saves the count; it comes back when the last ends,
+        # not when the first does
+        first, second = flow._one_blas_thread(), flow._one_blas_thread()
+        assert first.__enter__() == 1 and caller_threads() == 1
+        assert second.__enter__() == 1
+        first.__exit__(None, None, None)
+        assert caller_threads() == 1
+        second.__exit__(None, None, None)
+        assert caller_threads() == 3
+
+    def test_without_thread_control(self, monkeypatch, caller_threads, run_threads):
+        # the lookup finds nothing: the hold leaves the caller's count alone
+        # and says so, and the run's bytes do not change
+        rows = sample_batch(16, 600, 33)
+        cfg = FlowConfig(dt=2.0**-12, T=4 * 2.0**-12)
+        want = evolve_batch(rows, cfg, workers=2)
+        assert flow._run_blas_threads() == 1
+        monkeypatch.setattr(flow, "_openblas_threads", lambda: None)
+        assert flow._run_blas_threads() is None
+        with flow._one_blas_thread() as held:
+            assert held is None
+        assert evolve_batch(rows, cfg, workers=2).tobytes() == want.tobytes()
+        assert run_threads == [1, 1, 3, 3]
+        assert caller_threads() == 3
 
 
 class TestConservation:

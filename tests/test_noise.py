@@ -112,7 +112,7 @@ class TestStreamExactness:
         # pass per piece; five seeds from 2^32-3 or 2^64-2 gain a word
         N, count, stream = 5, 5, 64
         parts = np.empty((count, 2 * N))
-        noise._draw_rows(noise._seed_states(seed0, count, stream), parts)
+        noise._draw_rows(noise._seed_words(seed0, stream, count, step_seed=True), parts)
         want = np.concatenate(
             [oracles.gaussian_rows(N, 1, seed0 + k, stream) for k in range(count)]
         )
