@@ -49,7 +49,6 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -130,15 +129,12 @@ class FlowConfig:
 
     dt: float
     T: float
-    integrator: str = "IF-RK4"
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
         if not np.isfinite(self.T):
             raise ValueError("T must be finite")
-        if self.integrator != "IF-RK4":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         n = round(abs(self.T) / self.dt)
         if abs(n * self.dt - abs(self.T)) > 1e-9 * max(1.0, abs(self.T)):
             raise ValueError(f"T={self.T} is not an integer multiple of dt={self.dt}")
@@ -300,20 +296,17 @@ def airy_propagate(f, t):
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS that numpy bundles, or None.
 
-    Looked up once, in numpy.libs beside the numpy package; None when that
-    library or its thread calls are not there.
+    Looked up once through numpy's linalg extension, whose dependencies hold
+    the OpenBLAS numpy loaded; None when its thread calls are not there.
     """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 # the thread count is one per process, so the hold on it is too

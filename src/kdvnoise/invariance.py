@@ -82,7 +82,7 @@ def _evolved(e, cfg, coeffs, t):
     from the start of the run.
     """
     prov = dict(e.provenance)
-    prov["flow"] = {"dt": cfg.dt, "T": t, "integrator": cfg.integrator}
+    prov["flow"] = {"dt": cfg.dt, "T": t, "integrator": "IF-RK4"}
     return Ensemble(N=e.N, coeffs=coeffs, time=e.time + t, provenance=prov)
 
 

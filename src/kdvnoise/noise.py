@@ -7,16 +7,18 @@ stream_start+i: the N real parts, then the N imaginary parts, drawn by
 default_rng(SeedSequence([seed, stream])). Any member of any ensemble can
 therefore be regenerated from (seed, stream), independently of batch layout.
 
-The sampling loop behind sample_batch and tail_sweep builds no per-row
-SeedSequence. It hashes the SeedSequence pools and generate_state words of
-512 streams at once in uint32 arithmetic, hands each row's four words to a
-PCG64 through a minimal ISeedSequence, so numpy's own set-seed step makes
-the state, and draws the row's 2N normals with one call (the ziggurat keeps
-no cache between calls, so this equals the two N-draws). NumPy's
-random policy (NEP 19) keeps the SeedSequence hash, PCG64 seeding and the
-normal stream fixed across releases, and the tests compare every row byte
-for byte with the per-row construction. decay_median_curve, whose rows share
-one stream over a range of seeds, hashes those seeds the same way.
+One sampling loop draws every row: sample_batch, tail_sweep and
+decay_median_curve (whose rows share one stream over a range of seeds) all
+read its blocks. It builds no per-row SeedSequence. It hashes the
+SeedSequence pools and generate_state words of a block of rows at once in
+uint32 arithmetic, hands each row's four words to a PCG64 through a minimal
+ISeedSequence, so numpy's own set-seed step makes the state, and draws the
+row's 2N normals with one call (the ziggurat keeps no cache between calls,
+so this equals the two N-draws). A block is at most 512 rows and at most
+2^17 complex values, so its buffers stay near 2 MB at any N. NumPy's random
+policy (NEP 19) keeps the SeedSequence hash, PCG64 seeding and the normal
+stream fixed across releases, and the tests compare every row byte for byte
+with the per-row construction.
 """
 from __future__ import annotations
 
@@ -64,8 +66,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
-_BLOCK = 512  # rows per hash pass and per draw buffer
-_DECAY_VALUES = 2**16  # complex values per decay_median_curve draw block
+_BLOCK = 512  # most rows per block of the sampling loop
+_BLOCK_VALUES = 2**17  # most complex values per block: 2 MB of complex128
 _Z99 = 2.576  # two-sided 99% standard normal quantile: Wilson intervals and the fit's ci99
 
 
@@ -168,26 +170,29 @@ def _seed_words(seed, stream, count, step_seed=False):
     return out
 
 
-def _draw_rows(words, parts):
-    """Fill row i of parts with the 2N normals of the PCG64 seeded by words[i]."""
-    for row, w in zip(parts, words):
-        np.random.Generator(np.random.PCG64(_Words(w))).standard_normal(out=row)
+def _block_rows(N, count):
+    """Rows per block of the sampling loop: at most _BLOCK and _BLOCK_VALUES / N."""
+    return max(1, min(count, _BLOCK, _BLOCK_VALUES // N))
 
 
-def _sample_blocks(N, count, seed, stream_start, out=None):
-    """The sampling loop: rows stream_start..stream_start+count of seed.
+def _sample_blocks(N, count, seed, stream_start, out=None, step_seed=False):
+    """The sampling loop: count rows, row i stream stream_start+i of seed.
 
-    Each pass hashes the seed words of up to _BLOCK streams and draws their
-    rows into one parts buffer. The rows go into out[b0:b1] when out is
-    given, else into one reused (<= _BLOCK, N) block, which the next pass
+    With step_seed, row i is instead stream stream_start of seed seed+i.
+    Each pass hashes the seed words of one block of _block_rows(N, count)
+    rows and draws them into one parts buffer. The rows go into out[b0:b1]
+    when out is given, else into one reused block, which the next pass
     overwrites. Yields (b0, block) for each filled block.
     """
-    block = None if out is not None else np.empty((min(count, _BLOCK), N), dtype=np.complex128)
+    size = _block_rows(N, count)
+    block = None if out is not None else np.empty((size, N), dtype=np.complex128)
     # each row's N real then N imaginary parts
-    parts = np.empty((min(count, _BLOCK), 2 * N))
-    for b0 in range(0, count, _BLOCK):
-        b1 = min(count, b0 + _BLOCK)
-        _draw_rows(_seed_words(seed, stream_start + b0, b1 - b0), parts)
+    parts = np.empty((size, 2 * N))
+    for b0 in range(0, count, size):
+        b1 = min(count, b0 + size)
+        first = (seed + b0, stream_start) if step_seed else (seed, stream_start + b0)
+        for row, w in zip(parts, _seed_words(*first, b1 - b0, step_seed)):
+            np.random.Generator(np.random.PCG64(_Words(w))).standard_normal(out=row)
         rows = parts[: b1 - b0].reshape(b1 - b0, 2, N)
         dest = out[b0:b1] if out is not None else block[: b1 - b0]
         dest.real = rows[:, 0]
@@ -252,7 +257,7 @@ def tail_sweep(norm_spec, N, Ks, samples, seed):
         raise ValueError(f"samples must be positive, got {samples}")
     seed, _ = _check_rows(N, samples, seed, 0)
     norms = np.empty(samples)
-    weighted = np.empty((min(samples, _BLOCK), N))
+    weighted = np.empty((_block_rows(N, samples), N))
     for b0, block in _sample_blocks(N, samples, seed, 0):
         norms[b0 : b0 + len(block)] = _besov_norm_rows(block, norm_spec, weighted[: len(block)])
     rows = []
@@ -307,45 +312,29 @@ def fit_log_tail(rows):
     }
 
 
-def _check_block(M):
-    if M < 1 or (M & (M - 1)) != 0:
-        raise ValueError(f"M must be a power of two, got {M}")
-
-
 def decay_ratio(M, delta, seed):
     """Block concentration statistic M^(1-delta) * max|g|^2 / sum|g|^2.
 
     g runs over one dyadic block {M..2M-1} of independent standard complex
     Gaussians, the stream M row of seed; M must be a power of two.
     """
-    _check_block(M)
-    g = sample_batch(M, 1, seed, stream_start=M)[0]
-    mags = np.abs(g) ** 2
-    return float(M ** (1.0 - delta) * mags.max() / mags.sum())
+    return decay_median_curve([M], delta, 1, seed)[0]
 
 
 def decay_median_curve(Ms, delta, n_seeds, seed0=0):
     """Median of decay_ratio over seeds seed0..seed0+n_seeds-1, per block size.
 
-    Each block size M hashes the stream M states of all n_seeds seeds in one
-    pass and draws their rows in blocks of at most _DECAY_VALUES values; the
-    ratios equal decay_ratio's bit for bit.
+    Each block size M reads the stream M rows of the n_seeds seeds from the
+    sampling loop, block by block.
     """
     seed0, _ = _check_rows(1, n_seeds, seed0, 0)
     out = []
     for M in Ms:
-        _check_block(M)
-        words = _seed_words(seed0, M, n_seeds, step_seed=True)
-        rows = max(1, min(n_seeds, _DECAY_VALUES // M))
-        parts = np.empty((rows, 2 * M))
-        g = np.empty((rows, M), dtype=np.complex128)
+        if M < 1 or (M & (M - 1)) != 0:
+            raise ValueError(f"M must be a power of two, got {M}")
         vals = np.empty(n_seeds)
-        for b0 in range(0, n_seeds, rows):
-            n = min(rows, n_seeds - b0)
-            _draw_rows(words[b0 : b0 + n], parts)
-            g[:n].real = parts[:n, :M]
-            g[:n].imag = parts[:n, M:]
-            mags = np.abs(g[:n]) ** 2
-            vals[b0 : b0 + n] = M ** (1.0 - delta) * mags.max(axis=1) / mags.sum(axis=1)
+        for b0, g in _sample_blocks(M, n_seeds, seed0, M, step_seed=True):
+            mags = np.abs(g) ** 2
+            vals[b0 : b0 + len(g)] = M ** (1.0 - delta) * mags.max(axis=1) / mags.sum(axis=1)
         out.append(float(np.median(vals)))
     return out

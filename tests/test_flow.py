@@ -69,10 +69,6 @@ class TestFlowConfig:
         assert cfg.steps == 4
         assert FlowConfig(dt=0.25, T=-1.0).steps == 4
 
-    def test_unknown_integrator(self):
-        with pytest.raises(ValueError):
-            FlowConfig(dt=0.1, T=1.0, integrator="euler")
-
 
 class TestNonlinearTerm:
     def test_single_pair(self):

@@ -111,12 +111,13 @@ class TestStreamExactness:
         # the decay curve's path: seeds seed0.. at one stream, hashed in one
         # pass per piece; five seeds from 2^32-3 or 2^64-2 gain a word
         N, count, stream = 5, 5, 64
-        parts = np.empty((count, 2 * N))
-        noise._draw_rows(noise._seed_words(seed0, stream, count, step_seed=True), parts)
+        out = np.empty((count, N), dtype=complex)
+        for _ in noise._sample_blocks(N, count, seed0, stream, out, step_seed=True):
+            pass
         want = np.concatenate(
             [oracles.gaussian_rows(N, 1, seed0 + k, stream) for k in range(count)]
         )
-        assert (parts[:, :N] + 1j * parts[:, N:]).tobytes() == want.tobytes()
+        assert out.tobytes() == want.tobytes()
 
     def test_negative_seed_or_stream(self):
         with pytest.raises(ValueError):
@@ -182,6 +183,16 @@ class TestTailStream:
                 tracemalloc.stop()
         assert peaks[20000] <= 1.1 * peaks[2000]
         assert peaks[20000] < 8e6
+
+    def test_peak_memory_does_not_grow_with_the_cutoff(self):
+        # blocks hold at most 2^17 values, two rows at N = 2^16
+        tracemalloc.start()
+        try:
+            tail_sweep(NormSpec(-0.49, 2.1, INF), 2**16, [2.0], 64, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestLogDensity:
@@ -270,6 +281,15 @@ class TestDecayRatio:
             decay_median_curve([4, 12], 0.2, 20)
         with pytest.raises(ValueError):
             decay_median_curve([4], 0.2, 20, seed0=-1)
+
+    def test_median_curve_blocks_bounded_in_values(self):
+        # at M = 2^16 a block holds two rows, so five seeds take three blocks
+        M, seed0 = 2**16, 2**32 - 2
+        vals = []
+        for k in range(5):
+            mags = np.abs(oracles.gaussian_rows(M, 1, seed0 + k, M)[0]) ** 2
+            vals.append(float(M**0.8 * mags.max() / mags.sum()))
+        assert decay_median_curve([M], 0.2, 5, seed0) == [float(np.median(vals))]
 
     def test_median_curve_decreasing_from_threshold(self):
         # at delta=0.5 the max-to-sum statistic's median falls steadily once
