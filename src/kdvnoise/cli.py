@@ -33,6 +33,8 @@ __all__ = ["main"]
 # time localization's table is 2N x (16N^3+1) complex, 34 MB at N=16; an
 # estimates run with n_list 16,32 peaks at 146 MB RSS
 _TIME_LOC_MAX_N = 16
+# tails rows per run; the K grid is counted against it before it is built
+_K_VALUES_MAX = 10**4
 
 
 def _fail(code, message):
@@ -149,7 +151,12 @@ def cmd_tails(cfg, h, out):
         spec = NormSpec(cfg["s"], cfg["p"], _parse_q(cfg["q"]))
     if cfg["k_min"] > cfg["k_max"]:
         raise ConfigError(f"empty K range: k_min={cfg['k_min']:g} > k_max={cfg['k_max']:g}")
-    Ks = np.arange(cfg["k_min"], cfg["k_max"] + 0.5 * cfg["k_step"], cfg["k_step"])
+    stop = cfg["k_max"] + 0.5 * cfg["k_step"]
+    # np.arange's own count, ceil((stop - k_min) / k_step); inf fails the test too
+    if not (stop - cfg["k_min"]) / cfg["k_step"] <= _K_VALUES_MAX:
+        raise ConfigError(f"K grid k_min={cfg['k_min']:g}..k_max={cfg['k_max']:g} by "
+                          f"k_step={cfg['k_step']:g} has more than {_K_VALUES_MAX} values")
+    Ks = np.arange(cfg["k_min"], stop, cfg["k_step"])
     rows = tail_sweep(spec, cfg["N"], Ks, cfg["samples"], cfg["seed"])
     _write_csv(out, "tails.csv", h, rows)
     _write_json(out, "tail_fit.json", h, fit_log_tail(rows))

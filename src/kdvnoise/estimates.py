@@ -449,64 +449,62 @@ def _pts_arrays(pts):
     return ns, ts, vs
 
 
-def _sparse_block_sup(ns, vals, N, p):
-    """sup over blocks of the l^p, with the dtau measure, of values at modes ns."""
-    per_row = np.bincount(_row(ns, N), weights=vals**p * _DTAU, minlength=2 * N)
-    return _sup_block_lp(per_row, p)
-
-
 def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
+    """Ratio of the stripped composition's weighted norm to |f| |g|, on points.
+
+    Steps: all cross pairs of f and g points, kept where the output mode is
+    on the lattice and its tau in the window; the output lattice, one point
+    per distinct (row, column), that sums its pairs; one resonance_weight
+    pass over the output points, with the f and g points ahead of them when
+    weighted; one block reduction of the x part, the y part, |f| and |g| as
+    a (4, N) per-mode stack. The X part weights the output by
+    w(n,tau)<tau-n^3>^{-1/2} and the companion part by <tau-n^3>^{-1}, with
+    an inner L^1 over tau per signed mode. Returns 0 when no pair lands.
+    """
     n1, t1, v1 = _pts_arrays(fpts)
     n2, t2, v2 = _pts_arrays(gpts)
     tau_max = _default_tau_max(N)
-    w1 = resonance_weight(n1, t1, params) if weighted else np.ones(n1.size)
-    w2 = resonance_weight(n2, t2, params) if weighted else np.ones(n2.size)
-    a1 = v1 / (w1 * _modulation(n1, t1) ** 0.5)
-    a2 = v2 / (w2 * _modulation(n2, t2) ** 0.5)
-
-    # all cross pairs
     n_out = n1[:, None] + n2[None, :]
     t_out = t1[:, None] + t2[None, :]
-    prod = a1[:, None] * a2[None, :]
-    keep = (n_out != 0) & (np.abs(n_out) <= N) & (np.abs(t_out) <= tau_max)
-    n_out, t_out, prod = n_out[keep], t_out[keep], prod[keep]
-    nn1 = np.broadcast_to(n1[:, None], keep.shape)[keep]
-    mult = (
-        np.abs(n_out)
-        * bracket(n_out) ** s
-        / (bracket(nn1) ** s * bracket(n_out - nn1) ** s)
-    )
-    prod = prod * mult
-    if n_out.size == 0:
+    i1, i2 = np.nonzero((n_out != 0) & (np.abs(n_out) <= N) & (np.abs(t_out) <= tau_max))
+    if i1.size == 0:
         return 0.0
+    n_out, t_out = n_out[i1, i2], t_out[i1, i2]
 
-    # aggregate coincident output points before any norm is taken
     Lcols = _grid_length(tau_max, _DTAU)
-    rows = _row(n_out, N)
-    cols = np.rint((t_out + tau_max) / _DTAU).astype(np.int64)
-    key = rows * Lcols + cols
+    key = _row(n_out, N) * Lcols + np.rint((t_out + tau_max) / _DTAU).astype(np.int64)
     uniq, inv = np.unique(key, return_inverse=True)
-    agg = np.zeros(uniq.size, dtype=np.complex128)
-    np.add.at(agg, inv, prod)
-    agg *= _DTAU  # tau-convolution measure
-    u_rows = uniq // Lcols
-    u_cols = uniq % Lcols
+    u_rows, u_cols = np.divmod(uniq, Lcols)
     u_n = _signed_modes(N)[u_rows]
     u_t = -tau_max + u_cols * _DTAU
+    if weighted:
+        w = resonance_weight(np.concatenate([n1, n2, u_n]), np.concatenate([t1, t2, u_t]), params)
+        w1, w2, w_out = np.split(w, [n1.size, n1.size + n2.size])
+    else:
+        w1 = w2 = 1.0
+        w_out = resonance_weight(u_n, u_t, params)
+
+    a1 = v1 / (w1 * _modulation(n1, t1) ** 0.5)
+    a2 = v2 / (w2 * _modulation(n2, t2) ** 0.5)
+    sb = bracket(np.arange(-N, N + 1)) ** s  # <n>^s at n + N
+    mult = np.abs(n_out) * sb[n_out + N] / (sb[n1[i1] + N] * sb[n2[i2] + N])
+    agg = np.zeros(uniq.size, dtype=np.complex128)
+    np.add.at(agg, inv, a1[i1] * a2[i2] * mult)
+    agg *= _DTAU  # tau-convolution measure
     mod = _modulation(u_n, u_t)
 
-    # weighted norm of the composition without its outer factor: X-part uses
-    # w(n,tau)<tau-n^3>^{-1/2}, the companion part uses <tau-n^3>^{-1} with L^1
-    w_out = resonance_weight(u_n, u_t, params)
-    x_vals = np.abs(agg) * w_out * mod**-0.5
-    y_vals = np.abs(agg) * mod**-1.0
-    x_part = _sparse_block_sup(u_n, x_vals, N, p)
-    # inner L^1 over tau per signed mode, then l^p across the block
-    per_row = np.bincount(u_rows, weights=y_vals * _DTAU, minlength=2 * N)
-    y_part = _sup_block_lp(per_row**p, p)
-    num = x_part + y_part
-    den = _sparse_block_sup(n1, np.abs(v1), N, p) * _sparse_block_sup(n2, np.abs(v2), N, p)
-    return num / den
+    rows = np.concatenate([u_rows, u_rows + 2 * N, _row(n1, N) + 4 * N, _row(n2, N) + 6 * N])
+    vals = np.concatenate([
+        (np.abs(agg) * w_out * mod**-0.5) ** p,
+        np.abs(agg) * mod**-1.0,
+        np.abs(v1) ** p,
+        np.abs(v2) ** p,
+    ])
+    per_row = np.bincount(rows, weights=vals * _DTAU, minlength=8 * N).reshape(4, 2 * N)
+    per_row[1] **= p  # the y part's L^1 in tau per row, to the power p
+    per_mode = per_row[:, N - 1 :: -1] + per_row[:, N:]  # the rows of n and -n add
+    x_part, y_part, f_norm, g_norm = _block_reduce(per_mode, p).max(axis=1)
+    return (x_part + y_part) / (f_norm * g_norm)
 
 
 def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):

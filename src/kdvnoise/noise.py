@@ -327,6 +327,8 @@ def decay_median_curve(Ms, delta, n_seeds, seed0=0):
     Each block size M reads the stream M rows of the n_seeds seeds from the
     sampling loop, block by block.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
     seed0, _ = _check_rows(1, n_seeds, seed0, 0)
     out = []
     for M in Ms:

@@ -764,6 +764,35 @@ class TestCmdTails:
         assert len(err) == 1
         assert json.loads(err[0])["error"]["code"] == "config"
 
+    @pytest.mark.parametrize("k_step, values", [(1e-300, None), (1e-4, 10**4 + 1)])
+    def test_k_grid_over_cap_exit_2(self, tmp_path, capsys, k_step, values):
+        # 1e-300 exited 4 with numpy's "Maximum allowed size exceeded"; the
+        # 10^4 + 1 grid is 80 kB, so a missing check would still pass quickly
+        if values is not None:
+            assert np.arange(1.0, 2.0 + 0.5 * k_step, k_step).size == values
+        cfg = write_ini(
+            tmp_path / "c.ini", "tails",
+            N=4, samples=10, seed=4, s=-0.49, p=2.1, k_min=1.0, k_max=2.0, k_step=k_step,
+        )
+        out = tmp_path / "o"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert error["code"] == "config" and "more than 10000 values" in error["message"]
+        assert not out.exists()
+
+    def test_k_grid_at_cap_runs(self, tmp_path, capsys):
+        k_step = 1.0 / 9999
+        cfg = write_ini(
+            tmp_path / "c.ini", "tails",
+            N=4, samples=10, seed=4, s=-0.49, p=2.1, k_min=1.0, k_max=2.0, k_step=k_step,
+        )
+        out = tmp_path / "o"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "tails.csv").read_text().splitlines()[2:]
+        assert len(rows) == 10**4
+
     @pytest.mark.parametrize("q", ["abc", "0.5", "nan"])
     def test_bad_q_exit_2(self, tmp_path, capsys, q):
         cfg = write_ini(

@@ -462,6 +462,21 @@ class TestRatioSweep:
             fpts, gpts = family_points(r["family"], r["N"], p, rng)
             assert r["ratio"] == sparse_ratio(fpts, gpts, r["N"], s, p, params, weighted)
 
+    @staticmethod
+    def dense_ratio(fpts, gpts, N, s, p, params, weighted):
+        """One sweep ratio through the dense public operations."""
+        f = SpaceTimeCoeffs.from_points(N, fpts)
+        g = SpaceTimeCoeffs.from_points(N, gpts)
+        out = bilinear_form(f, g, s, params, weighted=weighted)
+        # undo the outer modulation factor before taking the output norm
+        tgrid = out.tau_grid[None, :]
+        npow = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])[:, None].astype(float)
+        stripped = SpaceTimeCoeffs(
+            N, out.tau_max, out.dtau, out.values * bracket(tgrid - npow**3) ** 0.5
+        )
+        num = weighted_bourgain_norm(stripped, 0.0, -0.5, p, params)
+        return num / (bourgain_norm(f, 0.0, 0.0, p) * bourgain_norm(g, 0.0, 0.0, p))
+
     def test_sparse_matches_dense_route(self):
         # recompute one sweep ratio through the dense public operations
         s, p = -0.49, 2.1
@@ -471,18 +486,56 @@ class TestRatioSweep:
         row = rows[0]
         rng = sweep_trial_rng(13, N, 0)
         fpts, gpts = family_points(row["family"], N, p, rng)
-        f = SpaceTimeCoeffs.from_points(N, fpts)
-        g = SpaceTimeCoeffs.from_points(N, gpts)
-        out = bilinear_form(f, g, s, params, weighted=True)
-        # undo the outer modulation factor before taking the output norm
-        tgrid = out.tau_grid[None, :]
-        npow = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])[:, None].astype(float)
-        stripped = SpaceTimeCoeffs(
-            N, out.tau_max, out.dtau, out.values * bracket(tgrid - npow**3) ** 0.5
-        )
-        num = weighted_bourgain_norm(stripped, 0.0, -0.5, p, params)
-        den = bourgain_norm(f, 0.0, 0.0, p) * bourgain_norm(g, 0.0, 0.0, p)
-        assert num / den == pytest.approx(row["ratio"], rel=1e-9)
+        got = self.dense_ratio(fpts, gpts, N, s, p, params, True)
+        assert got == pytest.approx(row["ratio"], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "family, N, weighted",
+        [
+            ("out_curve_lo", 6, False),
+            ("random", 6, True),
+            ("random", 6, False),
+            ("out_curve_hi", 6, True),
+            ("out_curve_hi", 6, False),
+            ("free_curve", 8, True),
+            ("out_curve_hi", 8, True),
+            ("out_curve_hi", 8, False),
+        ],
+    )
+    def test_sparse_matches_dense_route_by_mode_and_family(self, family, N, weighted):
+        # the control mode drops w from the inputs only: the output norm stays weighted
+        s, p, params, seed = -0.49, 2.1, WeightParams(C=3), 13
+        trial = estimates._FAMILIES.index(family)
+        rows = bilinear_ratio_sweep(s, p, params, [N], trial + 1, seed, weighted=weighted)
+        assert rows[trial]["family"] == family
+        fpts, gpts = family_points(family, N, p, sweep_trial_rng(seed, N, trial))
+        got = self.dense_ratio(fpts, gpts, N, s, p, params, weighted)
+        assert got == pytest.approx(rows[trial]["ratio"], rel=1e-9)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_one_weight_pass_per_ratio(self, monkeypatch, weighted):
+        s, p, params, N = -0.49, 2.1, WeightParams(C=3), 8
+        weight = estimates.resonance_weight
+        sizes = []
+
+        def counting(n, tau, params):
+            sizes.append(np.size(n))
+            return weight(n, tau, params)
+
+        monkeypatch.setattr(estimates, "resonance_weight", counting)
+        tau_max = 4.0 * N**3
+        for family in estimates._FAMILIES:
+            fpts, gpts = family_points(family, N, p, sweep_trial_rng(3, N, 0))
+            outputs = {
+                (n1 + n2, t1 + t2)
+                for n1, t1 in fpts
+                for n2, t2 in gpts
+                if n1 + n2 != 0 and abs(n1 + n2) <= N and abs(t1 + t2) <= tau_max
+            }
+            sizes.clear()
+            estimates._sparse_ratio(fpts, gpts, N, s, p, params, weighted)
+            want = len(fpts) + len(gpts) + len(outputs) if weighted else len(outputs)
+            assert sizes == [want], family
 
     def test_scaling_invariance(self):
         s, p, params, N = -0.49, 2.1, WeightParams(C=3), 6

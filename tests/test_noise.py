@@ -282,6 +282,12 @@ class TestDecayRatio:
         with pytest.raises(ValueError):
             decay_median_curve([4], 0.2, 20, seed0=-1)
 
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_median_curve_needs_a_seed(self, n_seeds):
+        # n_seeds = 0 gave [nan] and numpy's "Mean of empty slice" warning
+        with pytest.raises(ValueError, match="n_seeds must be positive"):
+            decay_median_curve([4], 0.2, n_seeds)
+
     def test_median_curve_blocks_bounded_in_values(self):
         # at M = 2^16 a block holds two rows, so five seeds take three blocks
         M, seed0 = 2**16, 2**32 - 2
