@@ -108,11 +108,17 @@ class KsResult:
 
 
 def ks_two_sample(a, b):
-    """sup_x |F_a(x) - F_b(x)| over the pooled sample points."""
+    """sup_x |F_a(x) - F_b(x)| over the pooled sample points.
+
+    Both samples must be nonempty and finite: a NaN would sort last and
+    quietly shift the empirical distribution.
+    """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("both samples must be finite")
     pool = np.concatenate([a, b])
     fa = np.searchsorted(a, pool, side="right") / a.size
     fb = np.searchsorted(b, pool, side="right") / b.size
@@ -201,6 +207,7 @@ def invariance_report(e0, eT, observables, alpha):
         va = obs.evaluate(e0)
         vb = obs.evaluate(eT)
         ks = ks_two_sample(va, vb)
+        var_a, var_b = float(np.var(va, ddof=1)), float(np.var(vb, ddof=1))
         rows.append(
             {
                 "name": obs.name,
@@ -209,11 +216,9 @@ def invariance_report(e0, eT, observables, alpha):
                 "passes": ks.passes(alpha_per),
                 "mean_a": float(np.mean(va)),
                 "mean_b": float(np.mean(vb)),
-                "mean_se": float(
-                    math.sqrt(np.var(va, ddof=1) / va.size + np.var(vb, ddof=1) / vb.size)
-                ),
-                "var_a": float(np.var(va, ddof=1)),
-                "var_b": float(np.var(vb, ddof=1)),
+                "mean_se": math.sqrt(var_a / va.size + var_b / vb.size),
+                "var_a": var_a,
+                "var_b": var_b,
             }
         )
     return {

@@ -84,6 +84,14 @@ class TestKsTwoSample:
         with pytest.raises(ValueError):
             ks_two_sample(np.array([]), np.arange(3.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_rejected(self, bad):
+        # a NaN sorts last, so [1, 2, nan] against [1, 2, 3] read D = 1/3
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -215,6 +223,25 @@ class TestInvarianceReport:
         row = rep["observables"][0]
         for key in ("name", "mean_a", "mean_b", "mean_se", "var_a", "var_b"):
             assert key in row
+
+    def test_moments_match_numpy(self):
+        # each sample variance is numpy's ddof=1 variance, bit for bit, and
+        # mean_se combines the two
+        a = generate(8, 300, seed=49)
+        b = generate(8, 300, seed=50)
+        rep = invariance_report(a, b, OBS, alpha=0.05)
+        for obs, row in zip(OBS, rep["observables"]):
+            va, vb = obs.evaluate(a), obs.evaluate(b)
+            assert row["var_a"] == float(np.var(va, ddof=1))
+            assert row["var_b"] == float(np.var(vb, ddof=1))
+            se = np.sqrt(np.var(va, ddof=1) / va.size + np.var(vb, ddof=1) / vb.size)
+            assert row["mean_se"] == float(se)
+
+    def test_nan_observable_rejected(self):
+        a = generate(8, 10, seed=42)
+        obs = [ObservableSpec("nan", lambda e: np.where(np.arange(e.count) == 3, np.nan, 1.0))]
+        with pytest.raises(ValueError, match="finite"):
+            invariance_report(a, a, obs, alpha=0.01)
 
     def test_variance_control_fails(self):
         a = generate(8, 4000, seed=51)
