@@ -39,24 +39,15 @@ are two dense real DFT products with the phases folded into the tables, on
 the smallest grid their quadrant reduction allows, M = 4 floor(3N/4) + 4
 (52 at N=16, 196 at N=64). Above it an irfft/rfft pair on the power of two
 above 3N takes the phases into the padded spectrum and the output factor.
-With one BLAS thread the products took 9.7 against 19.8 us for one row at
-N=64 and 1.05 against 1.73 ms for 512 rows; at N=80 the FFT won at 16 rows
+With one BLAS thread the products took 7.2 against 19.0 us for one row at
+N=64 and 1.07 against 1.72 ms for 512 rows; at N=80 the FFT won at 16 rows
 (README has the table).
 
-Each chunk calls BLAS through one entry point, which _Kernels.bind picks
-from the chunk's size: np.dot for at most _DOT_MAX_COEFFS = 2^11
-coefficients (rows x N), np.matmul above. Both hand the same operands to
-the same BLAS routine, so the bytes do not depend on the choice; the
-dispatch does. A one-row dense step makes 12 products (two per kernel call,
-four stage sums), and the matmul ufunc costs about 0.5-1 us more per call.
-At 2^11 coefficients the two are even, and above it matmul is faster, so
-512-row chunks keep it. matmul / dot time of one dense kernel call plus one
-stage sum, one BLAS thread, median of 15 alternated rounds:
-
-    N    1 row   2^11 coefficients   2^12 coefficients
-    8    1.46    1.02 (256 rows)     0.94 (512 rows)
-    16   1.45    0.99 (128 rows)     0.94 (256 rows)
-    64   1.15    1.00 (32 rows)      0.97 (64 rows)
+Every product goes through np.dot. It gives np.matmul's bytes and costs
+about 0.7 us less per call, and a one-row dense step makes 12 products (two
+per kernel call, four stage sums). It also pays about one extra pass over
+each output, so on 512-row chunks at N = 8 and 16 np.matmul took 8-21% less
+time per product, and batch runs there are 4-6% slower (README).
 """
 from __future__ import annotations
 
@@ -100,7 +91,6 @@ _BLOWUP_LIMIT = 1e8
 _BLOWUP_SCREEN = (_BLOWUP_LIMIT / 2) ** 2
 _CHUNK_ROWS = 512  # fixed so worker count never changes the arithmetic
 _DENSE_MAX_N = 64  # largest cutoff whose quadratic term uses the dense route
-_DOT_MAX_COEFFS = 2**11  # largest chunk (rows x N) whose products go through np.dot
 _FD_EPS = 1e-4  # central-difference step of the Liouville probes
 _TABLE_SETS = 8  # (N, dt) table sets kept per cache: at most 1.2 MB each
 # weights over the stage stack [k3, k1, a, k2, k4]: the inputs of stages 2, 3
@@ -197,18 +187,18 @@ def _dense_tables(N, M, ph, scale):
     return C, D
 
 
-def _dense_rows(rows, out, tables, buf, product):
+def _dense_rows(rows, out, tables, buf):
     """scale conj(ph) F(ph x) for each row x by two dense real products, into out.
 
     rows and out are (count, 2N) float arrays, each row's coefficients
     interleaved (Re x_1, Im x_1, ...). tables are _dense_tables(N, M, ph,
     scale); buf is a (count, M) float buffer for the grid values, rewritten
-    whole. product is the BLAS entry point, np.dot or np.matmul (see bind).
+    whole.
     """
     C, D = tables
-    product(rows, C, out=buf)
+    np.dot(rows, C, out=buf)
     np.multiply(buf, buf, out=buf)
-    return product(buf, D, out=out)
+    return np.dot(buf, D, out=out)
 
 
 def _fft_tables(N, M, ph, scale):
@@ -245,11 +235,10 @@ class _Kernels:
     _dense_rows on the _dense_length(N) grid, above it _fft_rows on the
     _dealias_length(N) grid. The phases and tables are made here, once, and
     made read-only, so every chunk of every run that holds them shares them;
-    bind gives a chunk its own grid buffer and its BLAS entry point.
+    bind gives a chunk its own grid buffer.
     """
 
     def __init__(self, N, phases, scales):
-        self.N = N
         self.phases = phases
         self.dense = N <= _DENSE_MAX_N
         self.M = _dense_length(N) if self.dense else _dealias_length(N)
@@ -259,21 +248,15 @@ class _Kernels:
             arr.flags.writeable = False
 
     def bind(self, count):
-        """(product, kernels) for count interleaved float rows.
+        """One (rows, out) -> out kernel per phase for count interleaved float rows.
 
-        product is the chunk's BLAS entry point: np.dot up to _DOT_MAX_COEFFS
-        coefficients (count * N), where it dispatches faster, np.matmul
-        above. kernels holds one (rows, out) -> out kernel per phase; they
-        share one grid buffer, so they run one at a time.
+        The kernels share one grid buffer, so they run one at a time.
         """
-        product = np.dot if count * self.N <= _DOT_MAX_COEFFS else np.matmul
         if self.dense:
-            buf = np.empty((count, self.M))
-            kernel = functools.partial(_dense_rows, buf=buf, product=product)
+            kernel, buf = _dense_rows, np.empty((count, self.M))
         else:
-            buf = np.zeros((count, self.M // 2 + 1), dtype=np.complex128)
-            kernel = functools.partial(_fft_rows, buf=buf)
-        return product, [functools.partial(kernel, tables=t) for t in self.tables]
+            kernel, buf = _fft_rows, np.zeros((count, self.M // 2 + 1), dtype=np.complex128)
+        return [functools.partial(kernel, tables=t, buf=buf) for t in self.tables]
 
 
 @functools.lru_cache(maxsize=_TABLE_SETS)
@@ -297,7 +280,7 @@ def _plain_kernel(N):
 def nonlinear_term(f):
     """Quadratic transport term of the truncated system at a single state."""
     out = np.empty((1, f.N), dtype=np.complex128)
-    _, (F,) = _plain_kernel(f.N).bind(1)
+    (F,) = _plain_kernel(f.N).bind(1)
     F(np.ascontiguousarray(f.coeffs[None, :]).view(np.float64), out.view(np.float64))
     return FourierField(f.N, out[0])
 
@@ -383,7 +366,7 @@ def _rk4_chunk(rows, kernels, dt, nsteps, t0, first):
     call, so concurrent chunks never share a buffer.
     """
     count, N = rows.shape
-    product, (G0, Gh, Gf) = kernels.bind(count)
+    G0, Gh, Gf = kernels.bind(count)
     ph_f = kernels.phases[2]
     # the stack's order puts each weighted sum's rows next to each other;
     # only the phase that ends a step reads the rows as complex
@@ -402,14 +385,14 @@ def _rk4_chunk(rows, kernels, dt, nsteps, t0, first):
             # stage's k = w G: factors 3, 1.5 and 3; the zero weight on k1
             # only turns an infinite k1 into a NaN, which the screen catches
             G0(a, k1)
-            product(_W_K1, in2, out=x)
+            np.dot(_W_K1, in2, out=x)
             Gh(xs, k2)
-            product(_W_K2, in3, out=x)
+            np.dot(_W_K2, in3, out=x)
             Gh(xs, k3)
-            product(_W_K3, in4, out=x)
+            np.dot(_W_K3, in4, out=x)
             Gf(xs, k4)
             # a = ph_f * (a + k1 + k2 + k3 + k4)
-            product(_W_STEP, stack, out=x)
+            np.dot(_W_STEP, stack, out=x)
             np.multiply(ph_f, xc, out=ac)
             # _run_batch holds BLAS at one thread, so this dot and the sums
             # above start no BLAS threads (step's one row is too small to);

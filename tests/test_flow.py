@@ -117,8 +117,7 @@ class TestNonlinearTerm:
             want = flow._fft_rows(rows, np.empty_like(rows), tables, buf).view(complex)
             M = flow._dense_length(N)
             tables = flow._dense_tables(N, M, ph, 1.0)
-            buf = np.empty((count, M))
-            got = flow._dense_rows(rows, np.empty_like(rows), tables, buf, np.matmul)
+            got = flow._dense_rows(rows, np.empty_like(rows), tables, np.empty((count, M)))
             got = got.view(complex)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
 
@@ -128,27 +127,24 @@ class TestNonlinearTerm:
         # the identity that carries a tangent vector through a stage
         x, y = sample_batch(N, 8, 82), sample_batch(N, 8, 83)
         rows = np.concatenate([x + y, x - y, x, y]).view(np.float64)
-        for G in flow._stage_kernels(N, 2.0**-14).bind(len(rows))[1]:
+        for G in flow._stage_kernels(N, 2.0**-14).bind(len(rows)):
             g = G(rows, np.empty_like(rows)).view(complex).reshape(4, 8, N)
             rhs = 2.0 * g[2] + 2.0 * g[3]
             assert np.max(np.abs(g[0] + g[1] - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
-    @pytest.mark.parametrize(
-        "N, count, product",
-        [(8, 32, np.dot), (16, 512, np.matmul), (DENSE, 1, np.dot), (FFT, 1, np.dot)],
-    )
-    def test_entry_point_keeps_bytes(self, monkeypatch, N, count, product):
-        # chunks of at most _DOT_MAX_COEFFS coefficients call BLAS through
-        # np.dot, larger ones through np.matmul; one step through the chosen
-        # entry point equals the step with np.matmul forced, byte for byte
+    @pytest.mark.parametrize("N", [8, 16, DENSE, FFT])
+    def test_dot_keeps_matmul_bytes(self, monkeypatch, N):
+        # the flow's products go through np.dot for its lower dispatch cost;
+        # one step at one row up to a full chunk equals the same step with
+        # np.matmul in its place, byte for byte
         kernels = flow._stage_kernels(N, 2.0**-18)
-        assert kernels.bind(count)[0] is product
-        rows = sample_batch(N, count, 84)
-        got = flow._rk4_chunk(rows, kernels, 2.0**-18, 1, 0.0, 0).copy()
-        monkeypatch.setattr(flow, "_DOT_MAX_COEFFS", 0)
-        assert kernels.bind(count)[0] is np.matmul
-        want = flow._rk4_chunk(rows, kernels, 2.0**-18, 1, 0.0, 0)
-        assert got.tobytes() == want.tobytes()
+        for count in (1, 32, flow._CHUNK_ROWS):
+            rows = sample_batch(N, count, 84)
+            got = flow._rk4_chunk(rows, kernels, 2.0**-18, 1, 0.0, 0).copy()
+            with monkeypatch.context() as m:
+                m.setattr(np, "dot", np.matmul)
+                want = flow._rk4_chunk(rows, kernels, 2.0**-18, 1, 0.0, 0)
+            assert got.tobytes() == want.tobytes()
 
     def test_hermitian(self):
         f = wn(8, 78)
