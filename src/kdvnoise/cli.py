@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -247,7 +248,8 @@ def main(argv=None):
         return _fail("config", exc)
     except (SnapshotError, OSError) as exc:
         return _fail("io", exc)
-    except (IntegratorBlowupError, ValueError) as exc:
+    # BrokenExecutor: a flow worker process died (BrokenProcessPool)
+    except (IntegratorBlowupError, ValueError, MemoryError, BrokenExecutor) as exc:
         return _fail("runtime", exc)
 
 

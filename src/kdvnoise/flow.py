@@ -27,12 +27,20 @@ step. After each step one dot product screens the whole block against the
 blowup limit; only a block that fails it (or holds a NaN or inf) is checked
 member by member. On the dense route a step is 18 array calls.
 
-Each batch run (_run_batch) holds the OpenBLAS that numpy bundles at one
-thread and gives the caller's thread count back when it ends:
-the flow's workers are its only parallelism, so BLAS threads would only
+Each batch run (_run_batch) deals its fixed 512-row chunks round-robin into
+min(workers, chunks) shares. The calling process runs share 0 and sends each
+other share, as one task, to a worker process of the module's one pool:
+forked where the platform can fork, made by the first run that needs it, and
+replaced only by a run that asks for more workers. Threads would not pay: a
+step is 18 numpy calls, and two threads hand the GIL back and forth at each,
+so two of them ran N = 8 no faster than one (README has the table). Every
+share, in the caller or in a worker, holds the OpenBLAS that numpy bundles
+at one thread and gives its process's thread count back when it ends: the
+workers are the flow's only parallelism, so BLAS threads would only
 oversubscribe the cores, and one thread fixes the products' summation order,
-so results are bit-exact across BLAS settings. Without that library's thread
-control the runs leave BLAS as they find it, and _run_blas_threads says so.
+so results are bit-exact across BLAS settings and worker counts. Without
+that library's thread control the runs leave BLAS as they find it, and
+_run_blas_threads says so.
 
 Two kernels evaluate G_c, picked by N alone. Up to _DENSE_MAX_N = 64 they
 are two dense real DFT products with the phases folded into the tables, on
@@ -51,13 +59,16 @@ time per product, and batch runs there are 4-6% slower (README).
 """
 from __future__ import annotations
 
+import atexit
 import contextlib
 import ctypes
 import dataclasses
 import functools
 import os
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -112,6 +123,11 @@ class IntegratorBlowupError(RuntimeError):
         super().__init__(message)
         self.members = list(members)
         self.t = t
+
+    def __reduce__(self):
+        # the default rebuilds from args, the message alone; a blowup in a
+        # worker process crosses back to the caller pickled
+        return type(self), (self.args[0], self.members, self.t)
 
 
 def _blowup(members, t, dt, N):
@@ -405,37 +421,132 @@ def _rk4_chunk(rows, kernels, dt, nsteps, t0, first):
     return ac
 
 
-def _run_batch(rows, kernels, dt, nsteps, workers, t0):
+# the module's one pool of chunk workers, (executor, size), or None until a
+# run needs one
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_parent():
+    """Run in a forked child: no run holds its BLAS, and the parent's pool is not its own."""
+    global _blas_lock, _blas_runs, _blas_saved, _pool, _pool_lock
+    _blas_lock, _blas_runs, _blas_saved = threading.Lock(), 0, None
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parent)
+
+
+def _worker_start(parent):
+    """Set a worker process up: SIGINT reaches the caller alone, and the
+    worker exits once its parent is gone, killed before it could end the pool."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _submit(shares, dt, nsteps, t0):
+    """Send each share to a worker of the pool as one task; returns the futures.
+
+    The first call makes the pool and only then imports the process
+    machinery, so a process whose runs all fit one share never loads it. A
+    call with more shares than the pool has workers replaces it with a
+    larger one, after the old pool's tasks end; the lock keeps a replacement
+    from coming between another run's lookup and its submit.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[1] < len(shares):
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if _pool is not None:
+                _pool[0].shutdown()
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            executor = ProcessPoolExecutor(
+                len(shares),
+                mp_context=multiprocessing.get_context("fork" if fork else None),
+                initializer=_worker_start,
+                initargs=(os.getpid(),),
+            )
+            _pool = (executor, len(shares))
+        return [_pool[0].submit(_run_share, s, dt, nsteps, t0) for s in shares]
+
+
+def _close_pool():
+    """Shut the pool down; the next run that needs workers makes a new one."""
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+    if pool is not None:
+        pool[0].shutdown()
+
+
+# before the interpreter tears its modules down, which would otherwise
+# collect the pool after its process machinery is gone
+atexit.register(_close_pool)
+
+
+def _run_share(chunks, dt, nsteps, t0):
+    """Run (first member, rows) chunks one after another in this process.
+
+    Returns the chunks' final rows back to back and the blowups that stopped
+    any of them. The caller and the workers run their shares alike: through
+    their own process's stage kernel cache, under their own one-thread hold.
+    """
+    N = chunks[0][1].shape[1]
+    kernels = _stage_kernels(N, dt)
+    final = np.empty((sum(len(rows) for _, rows in chunks), N), dtype=np.complex128)
+    failures, pos = [], 0
+    with _one_blas_thread():
+        for first, rows in chunks:
+            try:
+                final[pos : pos + len(rows)] = _rk4_chunk(rows, kernels, dt, nsteps, t0, first)
+            except IntegratorBlowupError as exc:
+                failures.append(exc)
+            pos += len(rows)
+    return final, failures
+
+
+def _run_batch(rows, dt, nsteps, workers, t0):
     count, N = rows.shape
     if count == 0 or nsteps == 0:
         return rows.copy()
-    chunks = [
-        (lo, min(lo + _CHUNK_ROWS, count)) for lo in range(0, count, _CHUNK_ROWS)
-    ]
-    out = np.empty_like(rows)
-
-    def work(bounds):
-        lo, hi = bounds
-        try:
-            out[lo:hi] = _rk4_chunk(rows[lo:hi], kernels, dt, nsteps, t0, lo)
-            return None
-        except IntegratorBlowupError as exc:
-            return exc
-
+    chunks = [(lo, rows[lo : lo + _CHUNK_ROWS]) for lo in range(0, count, _CHUNK_ROWS)]
     if workers is None:  # every CPU this process may run on
         affinity = hasattr(os, "sched_getaffinity")
         workers = len(os.sched_getaffinity(0)) if affinity else os.cpu_count() or 1
-    with _one_blas_thread():
-        if workers <= 1 or len(chunks) == 1:
-            results = [work(c) for c in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(work, chunks))
+    n = max(1, min(workers, len(chunks)))
+    shares = [chunks[k::n] for k in range(n)]
+    futures = []
+    try:
+        if n > 1:
+            futures = _submit(shares[1:], dt, nsteps, t0)
+        results = [_run_share(shares[0], dt, nsteps, t0)]
+        results += [fut.result() for fut in futures]
+    except BrokenExecutor:  # a worker died; the next run starts a new pool
+        _close_pool()
+        raise
+    finally:
+        for fut in futures:
+            fut.cancel()
     # every chunk runs to its end or its own blowup; report them all at once
-    failures = [r for r in results if r is not None]
+    failures = [exc for _, fails in results for exc in fails]
     if failures:
-        members = [m for exc in failures for m in exc.members]
+        members = sorted(m for exc in failures for m in exc.members)
         raise _blowup(members, min((exc.t for exc in failures), key=abs), dt, N)
+    out = np.empty_like(rows)
+    for share, (final, _) in zip(shares, results):
+        pos = 0
+        for lo, chunk in share:
+            out[lo : lo + len(chunk)] = final[pos : pos + len(chunk)]
+            pos += len(chunk)
     return out
 
 
@@ -454,10 +565,11 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     inclusive, and increasing; they are checked before the iterator is
     returned. States are yielded as they are reached, so a checkpointed run
     does the arithmetic of an uninterrupted one, and fixed 512-row chunks keep
-    it independent of the worker count. The stage kernels' tables are taken
-    from their per-(N, dt) cache, or built, when the first segment that takes
-    a step starts, and every chunk of every segment reads them; a run with no
-    step asks for none. workers=None runs on every CPU the process may use.
+    it independent of the worker count. Each segment that takes a step takes
+    the stage kernels' tables from the per-(N, dt) cache of every process
+    that runs one of its shares, or builds them there once, and every chunk
+    reads them; a run with no step asks for none. workers=None runs on every
+    CPU the process may use, the caller and a worker process per further CPU.
     """
     times = [float(t) for t in times]
     if not times:
@@ -473,11 +585,9 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
         raise ValueError("checkpoints must be increasing")
 
     def run(rows):
-        kernels, pos = None, 0
+        pos = 0
         for t, k in zip(times, idx):
-            if kernels is None and k > pos:
-                kernels = _stage_kernels(rows.shape[1], dt)
-            rows = _run_batch(rows, kernels, dt, k - pos, workers, pos * dt)
+            rows = _run_batch(rows, dt, k - pos, workers, pos * dt)
             pos = k
             yield t, rows
 

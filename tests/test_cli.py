@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -723,6 +724,29 @@ class TestCmdInvariance:
         assert len(err) == 1
         assert json.loads(err[0])["error"]["code"] == "config"
         assert not (out / "report.json").exists()
+
+    def test_oversized_ensemble_exit_4(self, tmp_path, capsys):
+        # numpy refuses the 116 TiB array at once, so nothing is allocated
+        cfg = write_ini(
+            tmp_path / "c.ini", "invariance",
+            N=8, count=10**12, seed=1, dt=1e-3, T=0.01, alpha=0.01,
+        )
+        out = tmp_path / "o"
+        assert main(["invariance", "--config", cfg, "--out", str(out)]) == 4
+        assert_one_error(capsys, "runtime")
+        assert not (out / "report.json").exists()
+
+    def test_dead_worker_exit_4(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a worker process died")
+
+        monkeypatch.setattr(cli, "push_forward", broken)
+        cfg = write_ini(
+            tmp_path / "c.ini", "invariance",
+            N=8, count=50, seed=2, dt=1e-3, T=0.01, alpha=0.01,
+        )
+        assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert_one_error(capsys, "runtime")
 
     def test_two_members_strict_json(self, tmp_path, capsys):
         cfg = write_ini(

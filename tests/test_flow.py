@@ -10,11 +10,16 @@ comparisons with the naive IF-RK4 formula, which check arithmetic, not
 resolution, and reach 12.6 at N=65; the blowup check uses 197. The l2 drift
 of the scheme scales like dt^4 per unit time.
 """
+import copy
 import json
+import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -261,6 +266,13 @@ class TestStep:
         assert exc.value.members == [300, 550]
         assert exc.value.t == dt
 
+    def test_blowup_survives_pickling_and_copy(self):
+        # a worker process's blowup reaches the caller pickled
+        exc = IntegratorBlowupError("boom", [3, 5], 0.25)
+        for back in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+            assert type(back) is IntegratorBlowupError
+            assert str(back) == "boom" and back.members == [3, 5] and back.t == 0.25
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blowup_names_every_chunk(self, workers):
         # wild members in the first and second 512-row chunks, the second
@@ -329,9 +341,9 @@ class TestEvolve:
 
     @ROUTES
     def test_chunked_runs_bit_exact(self, N, dt, count):
-        # several 512-row chunks, so workers 2 and 3 run chunks on separate
-        # threads, each with its own grid buffer over the shared tables;
-        # BLAS keeps its default threading
+        # several 512-row chunks, so workers 2 and 3 run chunks in worker
+        # processes, each over its own process's tables; BLAS keeps its
+        # default threading
         coeffs = sample_batch(N, count, 14)
         cfg = FlowConfig(dt=dt, T=20 * dt)
         runs = [evolve_batch(coeffs, cfg, workers=w) for w in (1, 2, 3)]
@@ -447,6 +459,109 @@ class TestEvolve:
         assert np.array_equal(a, b)
 
 
+def worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+class TestWorkerPool:
+    CFG = FlowConfig(dt=2.0**-12, T=4 * 2.0**-12)
+
+    def test_runs_share_one_pool(self, fresh_pool):
+        # one worker per share past the caller's, forked by the first run
+        # that needs it and kept: no fork per run, and a smaller request
+        # after a larger one keeps the larger pool and its bytes
+        rows = sample_batch(16, 1100, 36)
+        want = evolve_batch(rows, self.CFG, workers=1)
+        assert worker_pids() == []
+        assert np.array_equal(evolve_batch(rows, self.CFG, workers=2), want)
+        first = worker_pids()
+        assert len(first) == 1
+        assert np.array_equal(evolve_batch(rows, self.CFG, workers=2), want)
+        assert worker_pids() == first
+        assert np.array_equal(evolve_batch(rows, self.CFG, workers=3), want)
+        larger = worker_pids()
+        assert len(larger) == 2
+        assert np.array_equal(evolve_batch(rows, self.CFG, workers=2), want)
+        assert np.array_equal(evolve_batch(rows, self.CFG, workers=8), want)
+        assert worker_pids() == larger
+
+    def test_concurrent_runs_share_the_pool(self, fresh_pool):
+        # six threads on two cores run evolve_batch with 2 and 3 workers at
+        # once, with a short switch interval, so a run can grow the pool
+        # while others have shares in it; each result equals its serial run
+        rows = [sample_batch(16, 1100, 50 + k) for k in range(6)]
+        want = [evolve_batch(r, self.CFG, workers=1) for r in rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(rows)) as pool:
+                futures = [pool.submit(evolve_batch, r, self.CFG, 2 + k % 2)
+                           for k, r in enumerate(rows)]
+                got = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(worker_pids()) == 2
+
+    def test_dead_worker_reported_then_replaced(self, fresh_pool):
+        rows = sample_batch(16, 600, 37)
+        want = evolve_batch(rows, self.CFG, workers=2)
+        (pid,) = worker_pids()
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(BrokenExecutor):
+            evolve_batch(rows, self.CFG, workers=2)
+        assert np.array_equal(evolve_batch(rows, self.CFG, workers=2), want)
+        (new,) = worker_pids()
+        assert new != pid
+
+    def test_worker_exits_with_a_killed_caller(self):
+        # a caller killed before it can shut its pool down leaves no worker
+        script = (
+            "import json, multiprocessing, time\n"
+            "from kdvnoise.flow import FlowConfig, evolve_batch\n"
+            "from kdvnoise.noise import sample_batch\n"
+            "evolve_batch(sample_batch(16, 1100, 39), FlowConfig(dt=2.0**-12, T=2.0**-12), workers=2)\n"
+            "print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            (pid,) = json.loads(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.communicate(timeout=60)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.1)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_no_process_left_after_exit(self):
+        script = (
+            "import json, multiprocessing\n"
+            "from kdvnoise.flow import FlowConfig, evolve_batch\n"
+            "from kdvnoise.noise import sample_batch\n"
+            "evolve_batch(sample_batch(16, 1100, 38), FlowConfig(dt=2.0**-12, T=2.0**-10), workers=2)\n"
+            "print(json.dumps([p.pid for p in multiprocessing.active_children()]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        pids = json.loads(proc.stdout)
+        assert len(pids) == 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(pids[0], 0)
+
+
 # SHA-256 of evolve_batch on 1100 rows (three chunks) for workers 1 and 2,
 # printed as JSON by a fresh interpreter whose BLAS thread count is set
 # before numpy loads
@@ -495,17 +610,38 @@ def caller_threads():
 
 
 @pytest.fixture
-def run_threads(monkeypatch, caller_threads):
-    """The OpenBLAS thread counts seen at the start of each chunk of a run."""
-    seen = []
+def fresh_pool():
+    """No worker pool when the test starts or ends: its runs fork their
+    workers from the module as the test patched it, and later tests never
+    run on those workers."""
+    flow._close_pool()
+    yield
+    flow._close_pool()
+
+
+@pytest.fixture
+def run_threads(monkeypatch, tmp_path, caller_threads, fresh_pool):
+    """Take the (first member, pid, OpenBLAS threads) of each chunk run so far.
+
+    Each chunk appends its line to a file as it starts, in the caller or in
+    a worker process alike; a take returns the lines since the last take in
+    member order.
+    """
+    path = tmp_path / "chunks"
     chunk = flow._rk4_chunk
 
-    def counted(*args):
-        seen.append(caller_threads())
-        return chunk(*args)
+    def counted(rows, kernels, dt, nsteps, t0, first):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{first} {os.getpid()} {caller_threads()}\n")
+        return chunk(rows, kernels, dt, nsteps, t0, first)
+
+    def take():
+        lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+        path.unlink(missing_ok=True)
+        return sorted(tuple(int(v) for v in line.split()) for line in lines)
 
     monkeypatch.setattr(flow, "_rk4_chunk", counted)
-    return seen
+    return take
 
 
 class TestBlasThreads:
@@ -517,7 +653,11 @@ class TestBlasThreads:
     def test_one_thread_inside_a_run(self, caller_threads, run_threads):
         rows = sample_batch(16, 1100, 32)
         evolve_batch(rows, FlowConfig(dt=2.0**-12, T=4 * 2.0**-12), workers=2)
-        assert run_threads == [1, 1, 1]
+        chunks = run_threads()
+        assert [(first, threads) for first, _, threads in chunks] == [(0, 1), (512, 1), (1024, 1)]
+        # chunks 0 and 2 are the caller's share, chunk 1 a worker's
+        pids = [pid for _, pid, _ in chunks]
+        assert pids[0] == pids[2] == os.getpid() != pids[1]
         assert caller_threads() == 3
 
     def test_restored_after_a_blowup(self, caller_threads):
@@ -527,7 +667,7 @@ class TestBlasThreads:
             evolve_batch(coeffs, FlowConfig(dt=0.01, T=1.0), workers=2)
         assert caller_threads() == 3
 
-    def test_restored_when_a_chunk_raises(self, caller_threads, monkeypatch):
+    def test_restored_when_a_chunk_raises(self, caller_threads, monkeypatch, fresh_pool):
         # an error other than a blowup leaves the run from inside the hold
         def fail(*args):
             raise MemoryError("chunk buffer")
@@ -552,7 +692,7 @@ class TestBlasThreads:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert set(run_threads) == {1}
+        assert {threads for _, _, threads in run_threads()} == {1}
         assert caller_threads() == 3
 
     def test_nested_holds_restore_once(self, caller_threads):
@@ -572,13 +712,20 @@ class TestBlasThreads:
         rows = sample_batch(16, 600, 33)
         cfg = FlowConfig(dt=2.0**-12, T=4 * 2.0**-12)
         want = evolve_batch(rows, cfg, workers=2)
+        held = run_threads()
         assert flow._run_blas_threads() == 1
         monkeypatch.setattr(flow, "_openblas_threads", lambda: None)
+        # the next run forks its worker from the patched module
+        flow._close_pool()
         assert flow._run_blas_threads() is None
-        with flow._one_blas_thread() as held:
-            assert held is None
+        with flow._one_blas_thread() as held_none:
+            assert held_none is None
         assert evolve_batch(rows, cfg, workers=2).tobytes() == want.tobytes()
-        assert run_threads == [1, 1, 3, 3]
+        free = run_threads()
+        # the caller runs chunk 0 and a worker chunk 1 in both runs
+        for chunks, threads in ((held, 1), (free, 3)):
+            assert [(first, t) for first, _, t in chunks] == [(0, threads), (512, threads)]
+            assert chunks[0][1] == os.getpid() != chunks[1][1]
         assert caller_threads() == 3
 
 
