@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .config import ConfigError, config_hash, load_config
 from .estimates import SpaceTimeCoeffs, WeightParams, bilinear_ratio_sweep, \
     bracket_product_integral, family_points, quadratic_bracket_sum, \
     resonance_residual_max, resonance_set_integral, time_localization_check
-from .flow import FlowConfig, IntegratorBlowupError, _run_blas_threads, conservation_rows, \
-    evolve_checkpoints
+from .flow import FlowConfig, _run_blas_threads, conservation_rows, evolve_checkpoints
 from .invariance import ObservableSpec, _evolved, generate, invariance_report, push_forward
 from .noise import decay_median_curve, fit_log_tail, tail_sweep
 from .snapshots import SnapshotError, load_ensemble, save_ensemble, write_atomic
@@ -248,8 +246,8 @@ def main(argv=None):
         return _fail("config", exc)
     except (SnapshotError, OSError) as exc:
         return _fail("io", exc)
-    # BrokenExecutor: a flow worker process died (BrokenProcessPool)
-    except (IntegratorBlowupError, ValueError, MemoryError, BrokenExecutor) as exc:
+    # RuntimeError: a flow blowup, or a flow worker process that died
+    except (RuntimeError, ValueError, MemoryError) as exc:
         return _fail("runtime", exc)
 
 

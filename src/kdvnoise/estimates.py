@@ -449,6 +449,7 @@ def _pts_arrays(pts):
     return ns, ts, vs
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
     """Ratio of the stripped composition's weighted norm to |f| |g|, on points.
 
@@ -459,7 +460,8 @@ def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
     weighted; one block reduction of the x part, the y part, |f| and |g| as
     a (4, N) per-mode stack. The X part weights the output by
     w(n,tau)<tau-n^3>^{-1/2} and the companion part by <tau-n^3>^{-1}, with
-    an inner L^1 over tau per signed mode. Returns 0 when no pair lands.
+    an inner L^1 over tau per signed mode. Returns 0 when no pair lands, and
+    raises ValueError when float64 overflows and the ratio is not finite.
     """
     n1, t1, v1 = _pts_arrays(fpts)
     n2, t2, v2 = _pts_arrays(gpts)
@@ -504,7 +506,10 @@ def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
     per_row[1] **= p  # the y part's L^1 in tau per row, to the power p
     per_mode = per_row[:, N - 1 :: -1] + per_row[:, N:]  # the rows of n and -n add
     x_part, y_part, f_norm, g_norm = _block_reduce(per_mode, p).max(axis=1)
-    return (x_part + y_part) / (f_norm * g_norm)
+    ratio = (x_part + y_part) / (f_norm * g_norm)
+    if not math.isfinite(ratio):
+        raise ValueError(f"the bilinear ratio at s={s:g}, p={p:g} is not finite in float64")
+    return ratio
 
 
 def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):

@@ -27,14 +27,15 @@ step. After each step one dot product screens the whole block against the
 blowup limit; only a block that fails it (or holds a NaN or inf) is checked
 member by member. On the dense route a step is 18 array calls.
 
-Each batch run (_run_batch) deals its fixed 512-row chunks round-robin into
-min(workers, chunks) shares. The calling process runs share 0 and sends each
-other share, as one task, to a worker process of the module's one pool:
+Each batch run (_run_batch) cuts its rows into fixed 512-row chunks, the
+flow's one unit of work, and takes n = min(workers, chunks) processes. The
+calling process runs chunks 0, n, 2n, ... and sends every other chunk, as
+its own task, to the module's one pool of at least n - 1 worker processes:
 forked where the platform can fork, made by the first run that needs it, and
 replaced only by a run that asks for more workers. Threads would not pay: a
 step is 18 numpy calls, and two threads hand the GIL back and forth at each,
 so two of them ran N = 8 no faster than one (README has the table). Every
-share, in the caller or in a worker, holds the OpenBLAS that numpy bundles
+chunk, in the caller or in a worker, holds the OpenBLAS that numpy bundles
 at one thread and gives its process's thread count back when it ends: the
 workers are the flow's only parallelism, so BLAS threads would only
 oversubscribe the cores, and one thread fixes the products' summation order,
@@ -64,6 +65,7 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
+import itertools
 import os
 import signal
 import threading
@@ -72,14 +74,10 @@ from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
-from .spectral import (
-    FourierField,
-    _dealias_length,
-    _hamiltonian_rows,
-    _l2_rows,
-    hamiltonian,
-    l2_mass,
-)
+from .spectral import FourierField, _dealias_length, _hamiltonian_rows, _l2_rows
+# hamiltonian stays importable from here: bench/workloads.py traces
+# flow.hamiltonian
+from .spectral import hamiltonian  # noqa: F401
 
 __all__ = [
     "FDProbeError",
@@ -451,18 +449,18 @@ def _worker_start(parent):
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _submit(shares, dt, nsteps, t0):
-    """Send each share to a worker of the pool as one task; returns the futures.
+def _submit(chunks, size, dt, nsteps, t0):
+    """Send each (first member, rows) chunk to the pool as its own task; returns the futures.
 
     The first call makes the pool and only then imports the process
-    machinery, so a process whose runs all fit one share never loads it. A
-    call with more shares than the pool has workers replaces it with a
+    machinery, so a process whose runs all fit the caller never loads it. A
+    call that asks for more workers than the pool has replaces it with a
     larger one, after the old pool's tasks end; the lock keeps a replacement
     from coming between another run's lookup and its submit.
     """
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[1] < len(shares):
+        if _pool is None or _pool[1] < size:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
@@ -470,13 +468,13 @@ def _submit(shares, dt, nsteps, t0):
                 _pool[0].shutdown()
             fork = "fork" in multiprocessing.get_all_start_methods()
             executor = ProcessPoolExecutor(
-                len(shares),
+                size,
                 mp_context=multiprocessing.get_context("fork" if fork else None),
                 initializer=_worker_start,
                 initargs=(os.getpid(),),
             )
-            _pool = (executor, len(shares))
-        return [_pool[0].submit(_run_share, s, dt, nsteps, t0) for s in shares]
+            _pool = (executor, size)
+        return [_pool[0].submit(_run_chunk, first, rows, dt, nsteps, t0) for first, rows in chunks]
 
 
 def _close_pool():
@@ -493,25 +491,21 @@ def _close_pool():
 atexit.register(_close_pool)
 
 
-def _run_share(chunks, dt, nsteps, t0):
-    """Run (first member, rows) chunks one after another in this process.
+def _run_chunk(first, rows, dt, nsteps, t0):
+    """Run the chunk of members first, first + 1, ... in this process.
 
-    Returns the chunks' final rows back to back and the blowups that stopped
-    any of them. The caller and the workers run their shares alike: through
+    Returns (first, final rows), or (first, the IntegratorBlowupError that
+    stopped it). The caller and the workers run their chunks alike: through
     their own process's stage kernel cache, under their own one-thread hold.
     """
-    N = chunks[0][1].shape[1]
-    kernels = _stage_kernels(N, dt)
-    final = np.empty((sum(len(rows) for _, rows in chunks), N), dtype=np.complex128)
-    failures, pos = [], 0
     with _one_blas_thread():
-        for first, rows in chunks:
-            try:
-                final[pos : pos + len(rows)] = _rk4_chunk(rows, kernels, dt, nsteps, t0, first)
-            except IntegratorBlowupError as exc:
-                failures.append(exc)
-            pos += len(rows)
-    return final, failures
+        try:
+            final = _rk4_chunk(rows, _stage_kernels(rows.shape[1], dt), dt, nsteps, t0, first)
+        except IntegratorBlowupError as exc:
+            return first, exc
+    # a copy frees the stage stack with this call: with the view kept alive, the
+    # bench's one-row trajectory workload ran ~5% slower (2-core host)
+    return first, final.copy()
 
 
 def _run_batch(rows, dt, nsteps, workers, t0):
@@ -523,13 +517,18 @@ def _run_batch(rows, dt, nsteps, workers, t0):
         affinity = hasattr(os, "sched_getaffinity")
         workers = len(os.sched_getaffinity(0)) if affinity else os.cpu_count() or 1
     n = max(1, min(workers, len(chunks)))
-    shares = [chunks[k::n] for k in range(n)]
-    futures = []
+    out = np.empty_like(rows)
+    failures, futures = [], []
     try:
+        # the caller runs chunks 0, n, 2n, ...; the pool runs the others
         if n > 1:
-            futures = _submit(shares[1:], dt, nsteps, t0)
-        results = [_run_share(shares[0], dt, nsteps, t0)]
-        results += [fut.result() for fut in futures]
+            futures = _submit([c for k, c in enumerate(chunks) if k % n], n - 1, dt, nsteps, t0)
+        mine = (_run_chunk(first, c, dt, nsteps, t0) for first, c in chunks[::n])
+        for first, final in itertools.chain(mine, (fut.result() for fut in futures)):
+            if isinstance(final, IntegratorBlowupError):
+                failures.append(final)
+            else:
+                out[first : first + len(final)] = final
     except BrokenExecutor:  # a worker died; the next run starts a new pool
         _close_pool()
         raise
@@ -537,16 +536,9 @@ def _run_batch(rows, dt, nsteps, workers, t0):
         for fut in futures:
             fut.cancel()
     # every chunk runs to its end or its own blowup; report them all at once
-    failures = [exc for _, fails in results for exc in fails]
     if failures:
         members = sorted(m for exc in failures for m in exc.members)
         raise _blowup(members, min((exc.t for exc in failures), key=abs), dt, N)
-    out = np.empty_like(rows)
-    for share, (final, _) in zip(shares, results):
-        pos = 0
-        for lo, chunk in share:
-            out[lo : lo + len(chunk)] = final[pos : pos + len(chunk)]
-            pos += len(chunk)
     return out
 
 
@@ -567,7 +559,7 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     does the arithmetic of an uninterrupted one, and fixed 512-row chunks keep
     it independent of the worker count. Each segment that takes a step takes
     the stage kernels' tables from the per-(N, dt) cache of every process
-    that runs one of its shares, or builds them there once, and every chunk
+    that runs one of its chunks, or builds them there once, and every chunk
     reads them; a run with no step asks for none. workers=None runs on every
     CPU the process may use, the caller and a worker process per further CPU.
     """
@@ -630,17 +622,14 @@ def conservation_report(traj):
     The mean is absent from the representation, so its drift is identically
     zero; it is reported for completeness of the contract.
     """
-    _, f0 = traj[0]
-    _, f1 = traj[-1]
-    return _drifts(l2_mass(f0), l2_mass(f1), hamiltonian(f0), hamiltonian(f1))
+    return conservation_rows(traj[0][1].coeffs[None], traj[-1][1].coeffs[None])[0]
 
 
 def conservation_rows(coeffs0, coeffs1):
     """conservation_report of each member, from row i of coeffs0 to row i of coeffs1.
 
-    The invariants are computed row-wise, in the same arithmetic as
-    l2_mass and hamiltonian, so each dict equals the member's
-    conservation_report bit for bit.
+    The invariants are computed row-wise, in the same arithmetic as l2_mass
+    and hamiltonian, so each drift equals theirs bit for bit.
     """
     values = (_l2_rows(coeffs0), _l2_rows(coeffs1),
               _hamiltonian_rows(coeffs0), _hamiltonian_rows(coeffs1))

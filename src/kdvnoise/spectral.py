@@ -197,6 +197,7 @@ def besov_norm_batch(coeffs, spec):
     return _besov_norm_rows(coeffs, spec, np.empty((count, N)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _besov_norm_rows(coeffs, spec, weighted):
     """besov_norm_batch of nonempty rows, with weighted a float scratch of their shape."""
     n = np.arange(1, coeffs.shape[1] + 1, dtype=float)
@@ -209,8 +210,12 @@ def _besov_norm_rows(coeffs, spec, weighted):
         weighted *= 2.0
     stack = _block_reduce(weighted, spec.p)
     if math.isinf(spec.q):
-        return stack.max(axis=1)
-    return np.sum(stack**spec.q, axis=1) ** (1.0 / spec.q)
+        norms = stack.max(axis=1)
+    else:
+        norms = np.sum(stack**spec.q, axis=1) ** (1.0 / spec.q)
+    if not np.isfinite(norms).all():
+        raise ValueError(f"the Besov norm at s={spec.s:g}, p={spec.p:g} is not finite in float64")
+    return norms
 
 
 def fl_norm(f, s, p):

@@ -737,16 +737,18 @@ class TestCmdInvariance:
         assert not (out / "report.json").exists()
 
     def test_dead_worker_exit_4(self, tmp_path, capsys, monkeypatch):
-        def broken(*args, **kwargs):
-            raise BrokenProcessPool("a worker process died")
-
-        monkeypatch.setattr(cli, "push_forward", broken)
+        # any RuntimeError from the run, the pool's own or a plain one
         cfg = write_ini(
             tmp_path / "c.ini", "invariance",
             N=8, count=50, seed=2, dt=1e-3, T=0.01, alpha=0.01,
         )
-        assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-        assert_one_error(capsys, "runtime")
+        for exc in (BrokenProcessPool("a worker process died"), RuntimeError("a run failed")):
+            def broken(*args, exc=exc, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(cli, "push_forward", broken)
+            assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+            assert_one_error(capsys, "runtime")
 
     def test_two_members_strict_json(self, tmp_path, capsys):
         cfg = write_ini(
@@ -817,6 +819,18 @@ class TestCmdTails:
         rows = (out / "tails.csv").read_text().splitlines()[2:]
         assert len(rows) == 10**4
 
+    def test_overflowing_norm_exit_4(self, tmp_path, capsys):
+        # <n>^100 |c_n| to the power 2.1 overflows float64, so every norm
+        # would be inf, every estimate 1 and the fitted slope 0
+        cfg = write_ini(
+            tmp_path / "c.ini", "tails",
+            N=256, samples=200, seed=4, s=100, p=2.1, k_min=1, k_max=3, k_step=0.5,
+        )
+        out = tmp_path / "o"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 4
+        assert_one_error(capsys, "runtime")
+        assert not out.exists()
+
     @pytest.mark.parametrize("q", ["abc", "0.5", "nan"])
     def test_bad_q_exit_2(self, tmp_path, capsys, q):
         cfg = write_ini(
@@ -856,6 +870,18 @@ class TestCmdEstimates:
         assert lines[0].startswith("# tool=kdvnoise")
         assert lines[1] == "N,trial,family,ratio,config_hash"
         assert len(lines) == 4
+
+    def test_overflowing_ratio_exit_4(self, tmp_path, capsys):
+        # p = 400 overflows float64 on both out_curve families, whose ratio
+        # would be inf
+        cfg = write_ini(
+            tmp_path / "c.ini", "estimates",
+            s=-0.49, p=400, n_list="64", trials=4, seed=5, time_loc="false",
+        )
+        out = tmp_path / "o"
+        assert main(["estimates", "--config", cfg, "--out", str(out)]) == 4
+        assert_one_error(capsys, "runtime")
+        assert not out.exists()
 
     def test_time_localization_at_smallest_n(self, tmp_path, capsys):
         cfg = write_ini(

@@ -42,7 +42,7 @@ from kdvnoise.flow import (
     step,
 )
 from kdvnoise.noise import GaussianSampleSpec, sample, sample_batch
-from kdvnoise.spectral import FourierField, _dealias_length, l2_mass
+from kdvnoise.spectral import FourierField, _dealias_length, hamiltonian, l2_mass
 
 
 def wn(N, seed, stream=0):
@@ -53,11 +53,12 @@ def wn(N, seed, stream=0):
 # step whose resonance number dt * 3N^3/4 is below 1; 1100 rows are three
 # 512-row chunks and 513 rows two, the second of one row
 DENSE, FFT = flow._DENSE_MAX_N, flow._DENSE_MAX_N + 1
-ROUTES = pytest.mark.parametrize(
-    "N, dt, count",
-    [(16, 2.0**-12, 1100), (DENSE, 2.0**-18, 513), (FFT, 2.0**-18, 1100)],
-    ids=["dense", "dense-64", "fft"],
-)
+ROUTE_CASES = [
+    pytest.param(16, 2.0**-12, 1100, id="dense"),
+    pytest.param(DENSE, 2.0**-18, 513, id="dense-64"),
+    pytest.param(FFT, 2.0**-18, 1100, id="fft"),
+]
+ROUTES = pytest.mark.parametrize("N, dt, count", ROUTE_CASES)
 
 
 class TestFlowConfig:
@@ -339,7 +340,11 @@ class TestEvolve:
             with pytest.raises(ValueError):
                 evolve_checkpoints(coeffs, cfg, times)
 
-    @ROUTES
+    # 2100 rows are five chunks: more than one chunk per process at every
+    # worker count
+    @pytest.mark.parametrize(
+        "N, dt, count", [*ROUTE_CASES, pytest.param(16, 2.0**-12, 2100, id="dense-2100")]
+    )
     def test_chunked_runs_bit_exact(self, N, dt, count):
         # several 512-row chunks, so workers 2 and 3 run chunks in worker
         # processes, each over its own process's tables; BLAS keeps its
@@ -467,9 +472,9 @@ class TestWorkerPool:
     CFG = FlowConfig(dt=2.0**-12, T=4 * 2.0**-12)
 
     def test_runs_share_one_pool(self, fresh_pool):
-        # one worker per share past the caller's, forked by the first run
-        # that needs it and kept: no fork per run, and a smaller request
-        # after a larger one keeps the larger pool and its bytes
+        # a worker for each process a run takes past the caller, forked by the
+        # first run that needs it and kept: no fork per run, and a smaller
+        # request after a larger one keeps the larger pool and its bytes
         rows = sample_batch(16, 1100, 36)
         want = evolve_batch(rows, self.CFG, workers=1)
         assert worker_pids() == []
@@ -488,7 +493,7 @@ class TestWorkerPool:
     def test_concurrent_runs_share_the_pool(self, fresh_pool):
         # six threads on two cores run evolve_batch with 2 and 3 workers at
         # once, with a short switch interval, so a run can grow the pool
-        # while others have shares in it; each result equals its serial run
+        # while others have chunks in it; each result equals its serial run
         rows = [sample_batch(16, 1100, 50 + k) for k in range(6)]
         want = [evolve_batch(r, self.CFG, workers=1) for r in rows]
         interval = sys.getswitchinterval()
@@ -650,14 +655,17 @@ class TestBlasThreads:
         digests = {runs[f"{N}/{w}"] for runs in blas_digests.values() for w in (1, 2)}
         assert len(digests) == 1
 
-    def test_one_thread_inside_a_run(self, caller_threads, run_threads):
-        rows = sample_batch(16, 1100, 32)
+    @pytest.mark.parametrize("count", [1100, 2100])
+    def test_one_thread_inside_a_run(self, caller_threads, run_threads, count):
+        rows = sample_batch(16, count, 32)
         evolve_batch(rows, FlowConfig(dt=2.0**-12, T=4 * 2.0**-12), workers=2)
         chunks = run_threads()
-        assert [(first, threads) for first, _, threads in chunks] == [(0, 1), (512, 1), (1024, 1)]
-        # chunks 0 and 2 are the caller's share, chunk 1 a worker's
+        firsts = range(0, count, 512)
+        assert [(first, threads) for first, _, threads in chunks] == [(lo, 1) for lo in firsts]
+        # the caller runs the even chunks, 0, 2, ..., and a worker the odd ones
         pids = [pid for _, pid, _ in chunks]
-        assert pids[0] == pids[2] == os.getpid() != pids[1]
+        assert set(pids[0::2]) == {os.getpid()}
+        assert os.getpid() not in pids[1::2]
         assert caller_threads() == 3
 
     def test_restored_after_a_blowup(self, caller_threads):
@@ -759,11 +767,20 @@ class TestConservation:
         # rows take the row-wise Hamiltonian through more than one block
         c0 = sample_batch(N, count, 16)
         c1 = c0 * (1.0 + 1e-9 * sample_batch(N, count, 17))
-        want = [
-            conservation_report([(0.0, FourierField(N, a)), (1.0, FourierField(N, b))])
-            for a, b in zip(c0, c1)
-        ]
+        want = []
+        for a, b in zip(c0, c1):
+            fa, fb = FourierField(N, a), FourierField(N, b)
+            l2_0, l2_1, h0, h1 = l2_mass(fa), l2_mass(fb), hamiltonian(fa), hamiltonian(fb)
+            want.append({
+                "mean_drift": 0.0,
+                "l2_drift_abs": abs(l2_1 - l2_0),
+                "l2_drift_rel": abs(l2_1 - l2_0) / l2_0,
+                "hamiltonian_drift_abs": abs(h1 - h0),
+                "hamiltonian_drift_rel": abs(h1 - h0) / abs(h0),
+            })
         assert conservation_rows(c0, c1) == want
+        assert [conservation_report([(0.0, FourierField(N, a)), (1.0, FourierField(N, b))])
+                for a, b in zip(c0, c1)] == want
 
     def test_drift_shrinks_high_order_when_dt_halves(self):
         # the invariant's drift contracts at least 4th order under step halving
