@@ -29,19 +29,19 @@ member by member. On the dense route a step is 18 array calls.
 
 Each batch run (_run_batch) cuts its rows into fixed 512-row chunks, the
 flow's one unit of work, and takes n = min(workers, chunks) processes. The
-calling process runs chunks 0, n, 2n, ... and sends every other chunk, as
-its own task, to the module's one pool of at least n - 1 worker processes:
-forked where the platform can fork, made by the first run that needs it, and
-replaced only by a run that asks for more workers. Threads would not pay: a
-step is 18 numpy calls, and two threads hand the GIL back and forth at each,
-so two of them ran N = 8 no faster than one (README has the table). Every
-chunk, in the caller or in a worker, holds the OpenBLAS that numpy bundles
-at one thread and gives its process's thread count back when it ends: the
-workers are the flow's only parallelism, so BLAS threads would only
-oversubscribe the cores, and one thread fixes the products' summation order,
-so results are bit-exact across BLAS settings and worker counts. Without
-that library's thread control the runs leave BLAS as they find it, and
-_run_blas_threads says so.
+calling process runs chunks 0, n, 2n, ... and worker k the chunks k, k + n,
+..., sent as one task to the package's one pool of worker processes
+(kdvnoise.pool, which tail_sweep's stream ranges share), so a run keeps at
+most n - 1 tasks in flight and never spreads over more processes than it
+asked for. Threads would not pay: a step is 18 numpy calls, and two threads
+hand the GIL back and forth at each, so two of them ran N = 8 no faster than
+one (README has the table). Every chunk, in the caller or in a worker, holds
+the OpenBLAS that numpy bundles at one thread and gives its process's thread
+count back when it ends: the shared pool's processes are the package's only
+parallelism, so BLAS threads would only oversubscribe the cores, and one
+thread fixes the products' summation order, so results are bit-exact across
+BLAS settings and worker counts. Without that library's thread control the
+runs leave BLAS as they find it, and _run_blas_threads says so.
 
 Two kernels evaluate G_c, picked by N alone. Up to _DENSE_MAX_N = 64 they
 are two dense real DFT products with the phases folded into the tables, on
@@ -60,20 +60,17 @@ time per product, and batch runs there are 4-6% slower (README).
 """
 from __future__ import annotations
 
-import atexit
 import contextlib
 import ctypes
 import dataclasses
 import functools
 import itertools
 import os
-import signal
 import threading
-import time
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
+from .pool import _processes, _tasks
 from .spectral import FourierField, _dealias_length, _hamiltonian_rows, _l2_rows
 # hamiltonian stays importable from here: bench/workloads.py traces
 # flow.hamiltonian
@@ -339,11 +336,11 @@ _blas_saved = None  # the caller's thread count, put back when the last run ends
 def _one_blas_thread():
     """Hold OpenBLAS at one thread for the body; yields 1, or None if it cannot.
 
-    The flow's workers are its only parallelism, and one thread keeps the
-    dense products' arithmetic fixed. Concurrent runs share the hold: the
-    first to enter saves the caller's thread count and the last to leave,
-    normally or by an exception, restores it. Without the thread control it
-    does nothing and yields None.
+    The shared pool's processes are the only parallelism, and one thread
+    keeps the dense products' arithmetic fixed. Concurrent runs share the
+    hold: the first to enter saves the caller's thread count and the last to
+    leave, normally or by an exception, restores it. Without the thread
+    control it does nothing and yields None.
     """
     global _blas_runs, _blas_saved
     calls = _openblas_threads()
@@ -419,76 +416,14 @@ def _rk4_chunk(rows, kernels, dt, nsteps, t0, first):
     return ac
 
 
-# the module's one pool of chunk workers, (executor, size), or None until a
-# run needs one
-_pool = None
-_pool_lock = threading.Lock()
-
-
 def _forget_parent():
-    """Run in a forked child: no run holds its BLAS, and the parent's pool is not its own."""
-    global _blas_lock, _blas_runs, _blas_saved, _pool, _pool_lock
+    """Run in a forked child: no run holds its BLAS."""
+    global _blas_lock, _blas_runs, _blas_saved
     _blas_lock, _blas_runs, _blas_saved = threading.Lock(), 0, None
-    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_parent)
-
-
-def _worker_start(parent):
-    """Set a worker process up: SIGINT reaches the caller alone, and the
-    worker exits once its parent is gone, killed before it could end the pool."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(1.0)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _submit(chunks, size, dt, nsteps, t0):
-    """Send each (first member, rows) chunk to the pool as its own task; returns the futures.
-
-    The first call makes the pool and only then imports the process
-    machinery, so a process whose runs all fit the caller never loads it. A
-    call that asks for more workers than the pool has replaces it with a
-    larger one, after the old pool's tasks end; the lock keeps a replacement
-    from coming between another run's lookup and its submit.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[1] < size:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            if _pool is not None:
-                _pool[0].shutdown()
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            executor = ProcessPoolExecutor(
-                size,
-                mp_context=multiprocessing.get_context("fork" if fork else None),
-                initializer=_worker_start,
-                initargs=(os.getpid(),),
-            )
-            _pool = (executor, size)
-        return [_pool[0].submit(_run_chunk, first, rows, dt, nsteps, t0) for first, rows in chunks]
-
-
-def _close_pool():
-    """Shut the pool down; the next run that needs workers makes a new one."""
-    global _pool
-    with _pool_lock:
-        pool, _pool = _pool, None
-    if pool is not None:
-        pool[0].shutdown()
-
-
-# before the interpreter tears its modules down, which would otherwise
-# collect the pool after its process machinery is gone
-atexit.register(_close_pool)
 
 
 def _run_chunk(first, rows, dt, nsteps, t0):
@@ -508,33 +443,30 @@ def _run_chunk(first, rows, dt, nsteps, t0):
     return first, final.copy()
 
 
+def _run_chunks(chunks, dt, nsteps, t0):
+    """_run_chunk on each (first member, rows) of chunks, in order: a worker's task."""
+    return [_run_chunk(first, rows, dt, nsteps, t0) for first, rows in chunks]
+
+
 def _run_batch(rows, dt, nsteps, workers, t0):
     count, N = rows.shape
     if count == 0 or nsteps == 0:
         return rows.copy()
     chunks = [(lo, rows[lo : lo + _CHUNK_ROWS]) for lo in range(0, count, _CHUNK_ROWS)]
-    if workers is None:  # every CPU this process may run on
-        affinity = hasattr(os, "sched_getaffinity")
-        workers = len(os.sched_getaffinity(0)) if affinity else os.cpu_count() or 1
-    n = max(1, min(workers, len(chunks)))
+    n = _processes(workers, len(chunks))
     out = np.empty_like(rows)
-    failures, futures = [], []
-    try:
-        # the caller runs chunks 0, n, 2n, ...; the pool runs the others
-        if n > 1:
-            futures = _submit([c for k, c in enumerate(chunks) if k % n], n - 1, dt, nsteps, t0)
+    failures = []
+    # the caller runs chunks 0, n, 2n, ... and worker k, as one task, the
+    # chunks k, k + n, ...: a run keeps at most n - 1 tasks in flight
+    lanes = [(chunks[k::n], dt, nsteps, t0) for k in range(1, n)]
+    with _tasks(_run_chunks, lanes) as futures:
         mine = (_run_chunk(first, c, dt, nsteps, t0) for first, c in chunks[::n])
-        for first, final in itertools.chain(mine, (fut.result() for fut in futures)):
+        theirs = itertools.chain.from_iterable(fut.result() for fut in futures)
+        for first, final in itertools.chain(mine, theirs):
             if isinstance(final, IntegratorBlowupError):
                 failures.append(final)
             else:
                 out[first : first + len(final)] = final
-    except BrokenExecutor:  # a worker died; the next run starts a new pool
-        _close_pool()
-        raise
-    finally:
-        for fut in futures:
-            fut.cancel()
     # every chunk runs to its end or its own blowup; report them all at once
     if failures:
         members = sorted(m for exc in failures for m in exc.members)

@@ -19,6 +19,12 @@ so this equals the two N-draws). A block is at most 512 rows and at most
 policy (NEP 19) keeps the SeedSequence hash, PCG64 seeding and the normal
 stream fixed across releases, and the tests compare every row byte for byte
 with the per-row construction.
+
+tail_sweep splits its streams over the processes of the pool the flow uses
+too (kdvnoise.pool): n = min(workers, blocks) contiguous ranges of whole
+blocks, the first normed in the caller and each other one in a worker,
+which returns only its norms. The blocks are the ones a one-process sweep
+draws, so the counts do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ import operator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .pool import _processes, _tasks
 # besov_norm_batch stays importable from here: bench/workloads.py traces
 # noise.besov_norm_batch
 from .spectral import FourierField, _besov_norm_rows, besov_norm_batch, l2_mass  # noqa: F401
@@ -246,20 +253,40 @@ def _wilson(count, n):
     return lo, hi
 
 
-def tail_sweep(norm_spec, N, Ks, samples, seed):
+def _range_norms(norm_spec, N, seed, start, count):
+    """Norms of streams start..start+count-1, each block normed as it is drawn."""
+    norms = np.empty(count)
+    weighted = np.empty((_block_rows(N, count), N))
+    for b0, block in _sample_blocks(N, count, seed, start):
+        norms[b0 : b0 + len(block)] = _besov_norm_rows(block, norm_spec, weighted[: len(block)])
+    return norms
+
+
+def tail_sweep(norm_spec, N, Ks, samples, seed, workers=None):
     """Tail estimates over a K grid from the norms of streams 0..samples-1.
 
-    Each block of the sampling loop is normed as it is drawn, so memory holds
-    one block and the samples norms however large samples is. A row's norm
-    depends on that row only, so the counts equal those of the whole batch.
+    The streams are cut on the sampling loop's block boundaries into
+    n = min(workers, blocks) contiguous ranges of whole blocks. The caller
+    norms range 0 and each other range is one task for a worker of the
+    shared pool (kdvnoise.pool), which returns its norms alone; a one-block
+    sweep starts no process. Each process norms its blocks as they are
+    drawn, so it holds one block and its range's norms however large
+    samples is. Every row is drawn and normed in the block it has in a
+    one-process sweep, and a row's norm depends on that row only, so the
+    counts equal those of the whole batch for any workers. workers=None
+    runs on every CPU the process may use.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     seed, _ = _check_rows(N, samples, seed, 0)
-    norms = np.empty(samples)
-    weighted = np.empty((_block_rows(N, samples), N))
-    for b0, block in _sample_blocks(N, samples, seed, 0):
-        norms[b0 : b0 + len(block)] = _besov_norm_rows(block, norm_spec, weighted[: len(block)])
+    size = _block_rows(N, samples)
+    blocks = -(-samples // size)
+    n = _processes(workers, blocks)
+    # range k holds blocks k * blocks // n up to (k + 1) * blocks // n
+    cuts = [min(samples, size * (k * blocks // n)) for k in range(n + 1)]
+    ranges = [(norm_spec, N, seed, lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    with _tasks(_range_norms, ranges[1:]) as futures:
+        norms = np.concatenate([_range_norms(*ranges[0]), *(fut.result() for fut in futures)])
     rows = []
     for K in Ks:
         count = int(np.sum(norms > K))

@@ -831,6 +831,18 @@ class TestCmdTails:
         assert_one_error(capsys, "runtime")
         assert not out.exists()
 
+    def test_overflowing_split_sweep_exit_4(self, tmp_path, capsys):
+        # 1100 samples are three blocks: on two CPUs or more the caller norms
+        # one range and a worker the other
+        cfg = write_ini(
+            tmp_path / "c.ini", "tails",
+            N=256, samples=1100, seed=4, s=100, p=2.1, k_min=1, k_max=3, k_step=0.5,
+        )
+        out = tmp_path / "o"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 4
+        assert_one_error(capsys, "runtime")
+        assert not out.exists()
+
     @pytest.mark.parametrize("q", ["abc", "0.5", "nan"])
     def test_bad_q_exit_2(self, tmp_path, capsys, q):
         cfg = write_ini(
@@ -942,6 +954,32 @@ class TestCliGeneral:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_small_runs_load_no_process_machinery(self):
+        # a one-block tail_sweep and a one-row evolve fit the caller, so the
+        # worker pool's modules stay unloaded: the one-row trajectory
+        # workload never pays for their import
+        src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import importlib, pkgutil, sys, kdvnoise\n"
+            "for m in pkgutil.iter_modules(kdvnoise.__path__):\n"
+            "    importlib.import_module('kdvnoise.' + m.name)\n"
+            "from kdvnoise.flow import FlowConfig, evolve\n"
+            "from kdvnoise.noise import GaussianSampleSpec, sample, tail_sweep\n"
+            "from kdvnoise.spectral import NormSpec\n"
+            "tail_sweep(NormSpec(-0.49, 2.1, 2.0), 256, [1.0], 512, 0)\n"
+            "evolve(sample(GaussianSampleSpec(16, 0)), FlowConfig(dt=2.0**-12, T=4 * 2.0**-12))\n"
+            "print(sorted(m.name for m in pkgutil.iter_modules(kdvnoise.__path__)))\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules, loaded = proc.stdout.strip().splitlines()
+        assert "pool" in modules and "flow" in modules and "cli" in modules
+        assert loaded == "[]"
 
     def test_unknown_subcommand(self, tmp_path, capsys):
         assert main(["frobnicate"]) == 2

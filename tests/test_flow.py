@@ -42,6 +42,7 @@ from kdvnoise.flow import (
     step,
 )
 from kdvnoise.noise import GaussianSampleSpec, sample, sample_batch
+from kdvnoise.pool import _close_pool
 from kdvnoise.spectral import FourierField, _dealias_length, hamiltonian, l2_mass
 
 
@@ -508,6 +509,21 @@ class TestWorkerPool:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert len(worker_pids()) == 2
 
+    def test_run_bounded_by_its_workers(self, run_threads):
+        # a 2-worker run of five chunks sends chunks 1 and 3 to one worker
+        # as one task, so it takes 2 processes even from the 2-worker pool
+        # that a 3-worker run left behind
+        rows = sample_batch(16, 2100, 41)
+        want = evolve_batch(rows, self.CFG, workers=1)
+        assert np.array_equal(evolve_batch(rows, self.CFG, workers=3), want)
+        assert len(worker_pids()) == 2
+        assert len({pid for _, pid, _ in run_threads()}) == 3
+        for _ in range(5):
+            assert np.array_equal(evolve_batch(rows, self.CFG, workers=2), want)
+            chunks = run_threads()
+            assert [first for first, _, _ in chunks] == list(range(0, 2100, 512))
+            assert len({pid for _, pid, _ in chunks}) == 2
+
     def test_dead_worker_reported_then_replaced(self, fresh_pool):
         rows = sample_batch(16, 600, 37)
         want = evolve_batch(rows, self.CFG, workers=2)
@@ -615,16 +631,6 @@ def caller_threads():
 
 
 @pytest.fixture
-def fresh_pool():
-    """No worker pool when the test starts or ends: its runs fork their
-    workers from the module as the test patched it, and later tests never
-    run on those workers."""
-    flow._close_pool()
-    yield
-    flow._close_pool()
-
-
-@pytest.fixture
 def run_threads(monkeypatch, tmp_path, caller_threads, fresh_pool):
     """Take the (first member, pid, OpenBLAS threads) of each chunk run so far.
 
@@ -724,7 +730,7 @@ class TestBlasThreads:
         assert flow._run_blas_threads() == 1
         monkeypatch.setattr(flow, "_openblas_threads", lambda: None)
         # the next run forks its worker from the patched module
-        flow._close_pool()
+        _close_pool()
         assert flow._run_blas_threads() is None
         with flow._one_blas_thread() as held_none:
             assert held_none is None

@@ -1,6 +1,10 @@
 """White-noise sampling, density, tail, and decay statistic tests."""
 import math
+import multiprocessing
+import os
+import signal
 import tracemalloc
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import oracles
@@ -185,14 +189,76 @@ class TestTailStream:
         assert peaks[20000] < 8e6
 
     def test_peak_memory_does_not_grow_with_the_cutoff(self):
-        # blocks hold at most 2^17 values, two rows at N = 2^16
+        # blocks hold at most 2^17 values, two rows at N = 2^16; the first
+        # call's one-time allocations, the worker pool among them, come first
+        spec = NormSpec(-0.49, 2.1, INF)
+        tail_sweep(spec, 2**16, [2.0], 64, 0)
         tracemalloc.start()
         try:
-            tail_sweep(NormSpec(-0.49, 2.1, INF), 2**16, [2.0], 64, 0)
+            tail_sweep(spec, 2**16, [2.0], 64, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def whole_batch_norms(spec, N, samples, seed):
+    """Sorted norms of streams 0..samples-1, sampled and normed 64 rows at a time."""
+    return np.sort(np.concatenate([
+        besov_norm_batch(sample_batch(N, min(64, samples - lo), seed, lo), spec)
+        for lo in range(0, samples, 64)
+    ]))
+
+
+class TestTailSplit:
+    """tail_sweep's stream ranges on the shared worker pool."""
+
+    SPEC = NormSpec(-0.49, 2.1, INF)
+
+    @pytest.mark.parametrize("samples", [1, 512, 513, 1100, 5000])
+    @pytest.mark.parametrize("N", [1, 5, 256, 2**14])
+    def test_counts_independent_of_workers(self, N, samples):
+        # Ks at every norm and the float below it: equal counts mean equal
+        # norms, bit for bit, whichever process drew and normed each row
+        norms = whole_batch_norms(self.SPEC, N, samples, 23)
+        Ks = np.concatenate([norms, np.nextafter(norms, -INF)])
+        want = (samples - np.searchsorted(norms, Ks, side="right")).tolist()
+        for workers in (1, 2, 3, None):
+            rows = tail_sweep(self.SPEC, N, Ks, samples, 23, workers=workers)
+            assert [r["count"] for r in rows] == want, workers
+
+    @pytest.mark.parametrize("N, samples", [(256, 512), (2**14, 8)])
+    def test_one_block_starts_no_process(self, fresh_pool, N, samples):
+        for workers in (None, 3):
+            tail_sweep(self.SPEC, N, [1.0], samples, 24, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_the_next_sweep(self, fresh_pool):
+        want = tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25, workers=2)
+        (pid,) = [p.pid for p in multiprocessing.active_children()]
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(BrokenExecutor):
+            tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25, workers=2)
+        assert tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25, workers=2) == want
+        (new,) = [p.pid for p in multiprocessing.active_children()]
+        assert new != pid
+
+    def test_overflowing_norm(self):
+        with pytest.raises(ValueError, match=r"s=100, p=2\.1"):
+            tail_sweep(NormSpec(100, 2.1, INF), 256, [1.0], 1100, 26, workers=2)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, fresh_pool):
+        # the pool forks after the patch, so only the worker's range fails
+        caller, norm_rows = os.getpid(), noise._besov_norm_rows
+
+        def in_caller_only(block, spec, weighted):
+            if os.getpid() != caller:
+                raise ValueError("a worker's norm failed")
+            return norm_rows(block, spec, weighted)
+
+        monkeypatch.setattr(noise, "_besov_norm_rows", in_caller_only)
+        with pytest.raises(ValueError, match="a worker's norm failed"):
+            tail_sweep(self.SPEC, 256, [1.0], 1100, 27, workers=2)
 
 
 class TestLogDensity:
