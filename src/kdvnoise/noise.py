@@ -21,10 +21,10 @@ stream fixed across releases, and the tests compare every row byte for byte
 with the per-row construction.
 
 tail_sweep splits its streams over the processes of the pool the flow uses
-too (kdvnoise.pool): n = min(workers, blocks) contiguous ranges of whole
-blocks, the first normed in the caller and each other one in a worker,
-which returns only its norms. The blocks are the ones a one-process sweep
-draws, so the counts do not depend on the worker count.
+too (kdvnoise.pool): n = min(CPUs the process may use, blocks) contiguous
+ranges of whole blocks, the first normed in the caller and each other one
+in a worker, which returns only its norms. The blocks are the ones a
+one-process sweep draws, so the counts do not depend on n.
 """
 from __future__ import annotations
 
@@ -262,26 +262,26 @@ def _range_norms(norm_spec, N, seed, start, count):
     return norms
 
 
-def tail_sweep(norm_spec, N, Ks, samples, seed, workers=None):
+def tail_sweep(norm_spec, N, Ks, samples, seed):
     """Tail estimates over a K grid from the norms of streams 0..samples-1.
 
     The streams are cut on the sampling loop's block boundaries into
-    n = min(workers, blocks) contiguous ranges of whole blocks. The caller
-    norms range 0 and each other range is one task for a worker of the
-    shared pool (kdvnoise.pool), which returns its norms alone; a one-block
-    sweep starts no process. Each process norms its blocks as they are
-    drawn, so it holds one block and its range's norms however large
-    samples is. Every row is drawn and normed in the block it has in a
-    one-process sweep, and a row's norm depends on that row only, so the
-    counts equal those of the whole batch for any workers. workers=None
-    runs on every CPU the process may use.
+    n = min(CPUs the process may use, blocks) contiguous ranges of whole
+    blocks, so CPU affinity bounds n. The caller norms range 0 and each
+    other range is one task for a worker of the shared pool
+    (kdvnoise.pool), which returns its norms alone; a one-block sweep
+    starts no process. Each process norms its blocks as they are drawn, so
+    it holds one block and its range's norms however large samples is.
+    Every row is drawn and normed in the block it has in a one-process
+    sweep, and a row's norm depends on that row only, so the counts equal
+    those of the whole batch for any n.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     seed, _ = _check_rows(N, samples, seed, 0)
     size = _block_rows(N, samples)
     blocks = -(-samples // size)
-    n = _processes(workers, blocks)
+    n = _processes(None, blocks)
     # range k holds blocks k * blocks // n up to (k + 1) * blocks // n
     cuts = [min(samples, size * (k * blocks // n)) for k in range(n + 1)]
     ranges = [(norm_spec, N, seed, lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]

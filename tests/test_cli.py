@@ -831,18 +831,6 @@ class TestCmdTails:
         assert_one_error(capsys, "runtime")
         assert not out.exists()
 
-    def test_overflowing_split_sweep_exit_4(self, tmp_path, capsys):
-        # 1100 samples are three blocks: on two CPUs or more the caller norms
-        # one range and a worker the other
-        cfg = write_ini(
-            tmp_path / "c.ini", "tails",
-            N=256, samples=1100, seed=4, s=100, p=2.1, k_min=1, k_max=3, k_step=0.5,
-        )
-        out = tmp_path / "o"
-        assert main(["tails", "--config", cfg, "--out", str(out)]) == 4
-        assert_one_error(capsys, "runtime")
-        assert not out.exists()
-
     @pytest.mark.parametrize("q", ["abc", "0.5", "nan"])
     def test_bad_q_exit_2(self, tmp_path, capsys, q):
         cfg = write_ini(

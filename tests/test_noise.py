@@ -10,7 +10,7 @@ import numpy as np
 import oracles
 import pytest
 
-from kdvnoise import noise
+from kdvnoise import noise, pool
 from kdvnoise.noise import (
     GaussianSampleSpec,
     _wilson,
@@ -174,7 +174,9 @@ class TestTailStream:
         rows = tail_sweep(spec, N, Ks, samples, 17)
         assert [r["count"] for r in rows] == [int(np.sum(norms > K)) for K in Ks]
 
-    def test_peak_memory_does_not_grow_with_samples(self):
+    def test_peak_memory_does_not_grow_with_samples(self, split):
+        # the whole sweep in one process: a worker norms its range the same way
+        split(1)
         spec = NormSpec(-0.49, 2.1, INF)
         tail_sweep(spec, 256, [2.0], 10, 0)  # one-time allocations of a first call
         peaks = {}
@@ -188,14 +190,12 @@ class TestTailStream:
         assert peaks[20000] <= 1.1 * peaks[2000]
         assert peaks[20000] < 8e6
 
-    def test_peak_memory_does_not_grow_with_the_cutoff(self):
-        # blocks hold at most 2^17 values, two rows at N = 2^16; the first
-        # call's one-time allocations, the worker pool among them, come first
-        spec = NormSpec(-0.49, 2.1, INF)
-        tail_sweep(spec, 2**16, [2.0], 64, 0)
+    def test_peak_memory_does_not_grow_with_the_cutoff(self, split):
+        # blocks hold at most 2^17 values, two rows at N = 2^16
+        split(1)
         tracemalloc.start()
         try:
-            tail_sweep(spec, 2**16, [2.0], 64, 0)
+            tail_sweep(NormSpec(-0.49, 2.1, INF), 2**16, [2.0], 64, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -210,6 +210,17 @@ def whole_batch_norms(spec, N, samples, seed):
     ]))
 
 
+@pytest.fixture
+def split(monkeypatch):
+    """Fix the number of processes tail_sweep takes, as CPU affinity would:
+    split(n) caps it at n, and split(None) counts every CPU again."""
+
+    def processes(n):
+        monkeypatch.setattr(noise, "_processes", lambda _, parts: pool._processes(n, parts))
+
+    return processes
+
+
 class TestTailSplit:
     """tail_sweep's stream ranges on the shared worker pool."""
 
@@ -217,37 +228,63 @@ class TestTailSplit:
 
     @pytest.mark.parametrize("samples", [1, 512, 513, 1100, 5000])
     @pytest.mark.parametrize("N", [1, 5, 256, 2**14])
-    def test_counts_independent_of_workers(self, N, samples):
+    def test_counts_independent_of_processes(self, split, N, samples):
         # Ks at every norm and the float below it: equal counts mean equal
         # norms, bit for bit, whichever process drew and normed each row
         norms = whole_batch_norms(self.SPEC, N, samples, 23)
         Ks = np.concatenate([norms, np.nextafter(norms, -INF)])
         want = (samples - np.searchsorted(norms, Ks, side="right")).tolist()
-        for workers in (1, 2, 3, None):
-            rows = tail_sweep(self.SPEC, N, Ks, samples, 23, workers=workers)
-            assert [r["count"] for r in rows] == want, workers
+        for n in (1, 2, 3, None):
+            split(n)
+            rows = tail_sweep(self.SPEC, N, Ks, samples, 23)
+            assert [r["count"] for r in rows] == want, n
 
     @pytest.mark.parametrize("N, samples", [(256, 512), (2**14, 8)])
-    def test_one_block_starts_no_process(self, fresh_pool, N, samples):
-        for workers in (None, 3):
-            tail_sweep(self.SPEC, N, [1.0], samples, 24, workers=workers)
+    def test_one_block_starts_no_process(self, split, fresh_pool, N, samples):
+        for n in (None, 3):
+            split(n)
+            tail_sweep(self.SPEC, N, [1.0], samples, 24)
         assert multiprocessing.active_children() == []
 
-    def test_dead_worker_fails_the_next_sweep(self, fresh_pool):
-        want = tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25, workers=2)
+    def test_caller_peak_does_not_grow_with_samples(self, split, fresh_pool):
+        # the caller holds its own blocks and every range's norms; the pool
+        # and the process machinery's import come before the traced sweeps
+        split(2)
+        tail_sweep(self.SPEC, 256, [2.0], 1100, 0)
+        peaks = {}
+        for samples in (2000, 20000):
+            tracemalloc.start()
+            try:
+                tail_sweep(self.SPEC, 256, np.arange(1.8, 3.31, 0.2), samples, 0)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20000] <= 1.1 * peaks[2000]
+        assert peaks[20000] < 8e6
+
+    def test_dead_worker_fails_the_next_sweep(self, split, fresh_pool):
+        split(2)
+        want = tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25)
         (pid,) = [p.pid for p in multiprocessing.active_children()]
         os.kill(pid, signal.SIGKILL)
         with pytest.raises(BrokenExecutor):
-            tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25, workers=2)
-        assert tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25, workers=2) == want
+            tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25)
+        assert tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 25) == want
         (new,) = [p.pid for p in multiprocessing.active_children()]
         assert new != pid
 
-    def test_overflowing_norm(self):
+    def test_overflowing_norm_leaves_the_pool_working(self, split, fresh_pool):
+        # the caller's range raises while the worker's range may still run;
+        # the next sweep gets the pool's one worker back
+        split(2)
         with pytest.raises(ValueError, match=r"s=100, p=2\.1"):
-            tail_sweep(NormSpec(100, 2.1, INF), 256, [1.0], 1100, 26, workers=2)
+            tail_sweep(NormSpec(100, 2.1, INF), 256, [1.0], 1100, 26)
+        got = tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 26)
+        assert len(multiprocessing.active_children()) == 1
+        split(1)
+        assert got == tail_sweep(self.SPEC, 256, [1.5, 2.0], 1100, 26)
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch, fresh_pool):
+    def test_worker_error_reaches_the_caller(self, monkeypatch, split, fresh_pool):
         # the pool forks after the patch, so only the worker's range fails
         caller, norm_rows = os.getpid(), noise._besov_norm_rows
 
@@ -257,8 +294,9 @@ class TestTailSplit:
             return norm_rows(block, spec, weighted)
 
         monkeypatch.setattr(noise, "_besov_norm_rows", in_caller_only)
+        split(2)
         with pytest.raises(ValueError, match="a worker's norm failed"):
-            tail_sweep(self.SPEC, 256, [1.0], 1100, 27, workers=2)
+            tail_sweep(self.SPEC, 256, [1.0], 1100, 27)
 
 
 class TestLogDensity:
