@@ -30,7 +30,7 @@ from .spectral import NormSpec
 __all__ = ["main"]
 
 # time localization's table is 2N x (16N^3+1) complex, 34 MB at N=16; an
-# estimates run with n_list 16,32 peaks at 146 MB RSS
+# estimates run with n_list 16,32 peaks at 148 MB RSS in the calling process
 _TIME_LOC_MAX_N = 16
 # tails rows per run; the K grid is counted against it before it is built
 _K_VALUES_MAX = 10**4
@@ -246,7 +246,7 @@ def main(argv=None):
         return _fail("config", exc)
     except (SnapshotError, OSError) as exc:
         return _fail("io", exc)
-    # RuntimeError: a flow blowup, or a flow worker process that died
+    # RuntimeError: a flow blowup, or a worker process that died
     except (RuntimeError, ValueError, MemoryError) as exc:
         return _fail("runtime", exc)
 

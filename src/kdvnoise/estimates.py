@@ -15,9 +15,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 
 import numpy as np
 
+from .pool import _processes, _tasks
 from .spectral import _block_index, _block_reduce, bracket
 
 __all__ = [
@@ -512,34 +514,83 @@ def _sparse_ratio(fpts, gpts, N, s, p, params, weighted):
     return ratio
 
 
+def _cell_ratios(cells, s, p, params, seed, weighted):
+    """The ratio of each sweep cell (N, family, trial); trial is None for a fixed family."""
+    ratios = []
+    for N, family, trial in cells:
+        rng = None if trial is None else sweep_trial_rng(seed, N, trial)
+        fpts, gpts = family_points(family, N, p, rng)
+        ratios.append(float(_sparse_ratio(fpts, gpts, N, s, p, params, weighted)))
+    return ratios
+
+
+# the dealing's cost proxy, in _sparse_ratio cross pairs (about 0.3 us each on a
+# 2-core x86 host): (2N)^2 for a fixed family, and for a random trial its
+# 40 * 40 pairs plus the Python draw of its points, which takes as long as
+# about 2400 pairs
+_RANDOM_CELL_PAIRS = 40 * 40 + 2400
+
+
+def _deal(costs, n):
+    """Cell indices of n parts: longest first, each to the least-loaded part;
+    each part lists its cells in their original order."""
+    parts, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        parts[k].append(i)
+        loads[k] += costs[i]
+    return [sorted(part) for part in parts]
+
+
+def _integer(x, name):
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"bilinear_ratio_sweep needs an integer {name}, got {x!r}") from None
+
+
 def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):
     """Max-ratio table over seeded trial families, one row per (N, trial).
 
-    Needs finite p >= 1, every N >= 2 and trials >= 0. Only the random family
-    draws from the trial's rng: at a given N the out_curve_lo, out_curve_hi and
-    free_curve rows carry the same ratio at every trial, and each is computed
-    once per call.
+    Needs finite p >= 1, every N an integer >= 2 and an integer trials >= 0.
+    Only the random family draws from the trial's rng: at a given N the
+    out_curve_lo, out_curve_hi and free_curve rows carry the same ratio at
+    every trial, and each is computed once per call.
+
+    The call's distinct cells, (N, family) for a fixed family and (N, trial)
+    for a random trial, are dealt into n = min(CPUs the process may use,
+    cells) parts, so CPU affinity bounds n. The dealing takes the cells
+    longest first, costed at (2N)^2 cross pairs for a fixed family and
+    _RANDOM_CELL_PAIRS for a random trial, and gives each to the part with
+    the least cost so far. The caller computes part 0 and each other part is
+    one task for a worker of the shared pool (kdvnoise.pool); a one-cell
+    sweep starts no process. A ratio depends on its cell alone, so the rows
+    do not depend on n.
     """
     if not (math.isfinite(p) and p >= 1):  # the sparse route raises values to the power p
         raise ValueError(f"bilinear_ratio_sweep needs a finite p >= 1, got {p}")
+    N_list = [_integer(N, "N") for N in N_list]
     if any(N < 2 for N in N_list):
-        raise ValueError(f"bilinear_ratio_sweep needs every N >= 2, got {list(N_list)}")
+        raise ValueError(f"bilinear_ratio_sweep needs every N >= 2, got {N_list}")
+    trials = _integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"bilinear_ratio_sweep needs trials >= 0, got {trials}")
-    rows = []
+    rows = []  # (N, trial, family, cell) of each row
     for N in N_list:
-        fixed = {}  # ratio of each trial-independent family at this N
         for trial in range(trials):
             family = _FAMILIES[trial % len(_FAMILIES)]
-            ratio = fixed.get(family)
-            if ratio is None:
-                rng = sweep_trial_rng(seed, N, trial) if family == "random" else None
-                fpts, gpts = family_points(family, N, p, rng)
-                ratio = float(_sparse_ratio(fpts, gpts, N, s, p, params, weighted))
-                if family != "random":
-                    fixed[family] = ratio
-            rows.append({"N": int(N), "trial": int(trial), "family": family, "ratio": ratio})
-    return rows
+            rows.append((N, trial, family, (N, family, trial if family == "random" else None)))
+    cells = list(dict.fromkeys(row[3] for row in rows))
+    costs = [(2 * N) ** 2 if trial is None else _RANDOM_CELL_PAIRS for N, _f, trial in cells]
+    parts = _deal(costs, _processes(None, len(cells)))
+    args = [([cells[i] for i in part], s, p, params, seed, weighted) for part in parts]
+    with _tasks(_cell_ratios, args[1:]) as futures:
+        values = [_cell_ratios(*args[0]), *(fut.result() for fut in futures)]
+    ratios = {cells[i]: v for part, vs in zip(parts, values) for i, v in zip(part, vs)}
+    return [
+        {"N": N, "trial": trial, "family": family, "ratio": ratios[cell]}
+        for N, trial, family, cell in rows
+    ]
 
 
 # ------------------------------------------------------------ lemma oracles

@@ -1,10 +1,12 @@
-"""The package's one pool of worker processes, shared by the flow and the sampler.
+"""The package's one pool of worker processes, shared by the flow, the sampler
+and the bilinear ratio sweep.
 
 A run that splits its work over n processes (_processes) does one part in
 the calling process and sends each of the other n - 1 parts to the pool as
 one task (_tasks), so a run hands each worker one part and keeps at most
 n - 1 tasks in flight. evolve_batch's parts are its workers' 512-row chunk
-lists and tail_sweep's are contiguous stream ranges.
+lists, tail_sweep's are contiguous stream ranges and bilinear_ratio_sweep's
+are lists of its (N, family) and (N, trial) cells.
 
 The pool holds at least the n - 1 workers its largest run asked for: forked
 where the platform can fork, made by the first run that needs it, and

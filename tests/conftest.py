@@ -1,6 +1,6 @@
 import pytest
 
-from kdvnoise import pool
+from kdvnoise import estimates, noise, pool
 
 
 @pytest.fixture
@@ -11,3 +11,16 @@ def fresh_pool():
     pool._close_pool()
     yield
     pool._close_pool()
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Fix the number of processes tail_sweep and bilinear_ratio_sweep take,
+    as CPU affinity would: split(n) caps it at n, and split(None) counts
+    every CPU again."""
+
+    def processes(n):
+        for module in (noise, estimates):
+            monkeypatch.setattr(module, "_processes", lambda _, parts: pool._processes(n, parts))
+
+    return processes

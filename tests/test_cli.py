@@ -883,6 +883,22 @@ class TestCmdEstimates:
         assert_one_error(capsys, "runtime")
         assert not out.exists()
 
+    def test_broken_sweep_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a dead worker's BrokenProcessPool, or any other RuntimeError
+        cfg = write_ini(
+            tmp_path / "c.ini", "estimates",
+            s=-0.49, p=2.1, n_list="8,16", trials=4, seed=5, time_loc="false",
+        )
+        out = tmp_path / "o"
+        for exc in (BrokenProcessPool("a worker process died"), RuntimeError("a sweep failed")):
+            def broken(*args, exc=exc, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(cli, "bilinear_ratio_sweep", broken)
+            assert main(["estimates", "--config", cfg, "--out", str(out)]) == 4
+            assert_one_error(capsys, "runtime")
+            assert not out.exists()
+
     def test_time_localization_at_smallest_n(self, tmp_path, capsys):
         cfg = write_ini(
             tmp_path / "c.ini", "estimates", s=-0.49, p=2.1, n_list="8,2", trials=1, seed=5,
@@ -944,19 +960,21 @@ class TestCliGeneral:
         assert proc.stdout.strip() == "[]"
 
     def test_small_runs_load_no_process_machinery(self):
-        # a one-block tail_sweep and a one-row evolve fit the caller, so the
-        # worker pool's modules stay unloaded: the one-row trajectory
-        # workload never pays for their import
+        # a one-block tail_sweep, a one-cell bilinear_ratio_sweep and a
+        # one-row evolve fit the caller, so the worker pool's modules stay
+        # unloaded: the one-row trajectory workload never pays for their import
         src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
             "import importlib, pkgutil, sys, kdvnoise\n"
             "for m in pkgutil.iter_modules(kdvnoise.__path__):\n"
             "    importlib.import_module('kdvnoise.' + m.name)\n"
+            "from kdvnoise.estimates import WeightParams, bilinear_ratio_sweep\n"
             "from kdvnoise.flow import FlowConfig, evolve\n"
             "from kdvnoise.noise import GaussianSampleSpec, sample, tail_sweep\n"
             "from kdvnoise.spectral import NormSpec\n"
             "tail_sweep(NormSpec(-0.49, 2.1, 2.0), 256, [1.0], 512, 0)\n"
+            "bilinear_ratio_sweep(-0.49, 2.1, WeightParams(), [8], 1, 0)\n"
             "evolve(sample(GaussianSampleSpec(16, 0)), FlowConfig(dt=2.0**-12, T=4 * 2.0**-12))\n"
             "print(sorted(m.name for m in pkgutil.iter_modules(kdvnoise.__path__)))\n"
             "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"

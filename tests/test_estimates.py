@@ -1,5 +1,9 @@
 """Dispersive-estimate oracles: weights, space-time norms, bilinear form, lemmas."""
 import json
+import multiprocessing
+import os
+import signal
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -429,18 +433,27 @@ class TestRatioSweep:
             ({"N_list": [8, 1]}, "N >= 2"),
             ({"p": 0.5}, "p >= 1"),
             ({"trials": -3}, "trials >= 0"),
+            # these raised IndexError from the row map and TypeError from range
+            ({"N_list": [8.0]}, "integer N"),
+            ({"N_list": [16, 8.5]}, "integer N"),
+            ({"trials": 2.5}, "integer trials"),
         ],
     )
-    def test_schema_rules_enforced(self, change, match):
-        # these returned ratio-0.0 rows, finite ratios below p = 1, or [] silently
+    def test_schema_rules_enforced(self, change, match, split, fresh_pool):
+        # these returned ratio-0.0 rows, finite ratios below p = 1, or [] silently;
+        # each is refused before any cell is dealt to a worker
+        split(2)
         args = {"s": -0.49, "p": 2.1, "params": WeightParams(), "N_list": [8], "trials": 4, "seed": 1}
         with pytest.raises(ValueError, match=match):
             bilinear_ratio_sweep(**(args | change))
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "params, weighted", [(WeightParams(), True), (WeightParams(delta=1e-12), False)]
     )
-    def test_fixed_families_computed_once_per_call(self, monkeypatch, params, weighted):
+    def test_fixed_families_computed_once_per_call(self, monkeypatch, split, params, weighted):
+        # in one process, so that the caller's counter sees every cell
+        split(1)
         s, p, N_list, trials, seed = -0.49, 2.1, [8, 16], 9, 4
         sparse_ratio = estimates._sparse_ratio
         calls = []
@@ -549,6 +562,81 @@ class TestRatioSweep:
         assert np.allclose(r2.values, 3.7 * r1.values, rtol=1e-12, atol=1e-15)
 
 
+MODES = {"weighted": (WeightParams(), True), "control": (WeightParams(delta=1e-12), False)}
+
+
+def exact(rows):
+    return [(r["N"], r["trial"], r["family"], r["ratio"].hex()) for r in rows]
+
+
+class TestRatioSweepSplit:
+    """bilinear_ratio_sweep's cells on the shared worker pool."""
+
+    @staticmethod
+    def sweep(N_list, trials, mode="weighted", p=2.1, seed=31):
+        params, weighted = MODES[mode]
+        return bilinear_ratio_sweep(-0.49, p, params, N_list, trials, seed, weighted=weighted)
+
+    @pytest.mark.parametrize("mode", ["weighted", "control"])
+    @pytest.mark.parametrize("trials", [0, 1, 5, 20])
+    @pytest.mark.parametrize("N_list", [[8], [64], [8, 16, 32, 64]])
+    def test_rows_independent_of_processes(self, split, N_list, trials, mode):
+        split(1)
+        want = exact(self.sweep(N_list, trials, mode))
+        assert len(want) == len(N_list) * trials
+        for n in (2, 3, None):
+            split(n)
+            assert exact(self.sweep(N_list, trials, mode)) == want, n
+
+    def test_numpy_integers_accepted(self, split):
+        split(2)
+        rows = self.sweep(np.array([8, 16]), np.int64(5))
+        assert rows == self.sweep([8, 16], 5)
+        assert all(type(r["N"]) is int and type(r["trial"]) is int for r in rows)
+
+    @pytest.mark.parametrize("N_list, trials", [([8], 0), ([], 5), ([8], 1), ([64, 64], 1)])
+    def test_zero_or_one_cell_starts_no_process(self, split, fresh_pool, N_list, trials):
+        # [64, 64] repeats one N: its rows share the one distinct cell
+        for n in (None, 3):
+            split(n)
+            rows = self.sweep(N_list, trials)
+        assert multiprocessing.active_children() == []
+        assert len(rows) == len(N_list) * trials
+        assert len({r["ratio"] for r in rows}) == min(1, len(rows))
+
+    def test_worker_overflow_reaches_the_caller(self, monkeypatch, split, fresh_pool):
+        # p = 400 overflows float64 on both out_curve cells at N = 64; the
+        # pool forks after the patch, which keeps the caller's cell finite,
+        # so the error comes from the worker's cell
+        caller, sparse_ratio = os.getpid(), estimates._sparse_ratio
+
+        def finite_in_caller(fpts, gpts, N, s, p, params, weighted):
+            if os.getpid() == caller and p == 400:
+                return 1.0
+            return sparse_ratio(fpts, gpts, N, s, p, params, weighted)
+
+        monkeypatch.setattr(estimates, "_sparse_ratio", finite_in_caller)
+        split(2)
+        with pytest.raises(ValueError, match=r"s=-0\.49, p=400 is not finite"):
+            self.sweep([64], 2, p=400)
+        (pid,) = [p.pid for p in multiprocessing.active_children()]
+        got = exact(self.sweep([8, 64], 8))
+        assert [p.pid for p in multiprocessing.active_children()] == [pid]
+        split(1)
+        assert got == exact(self.sweep([8, 64], 8))
+
+    def test_dead_worker_fails_the_next_sweep(self, split, fresh_pool):
+        split(2)
+        want = self.sweep([8, 64], 8)
+        (pid,) = [p.pid for p in multiprocessing.active_children()]
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(BrokenExecutor):
+            self.sweep([8, 64], 8)
+        assert self.sweep([8, 64], 8) == want
+        (new,) = [p.pid for p in multiprocessing.active_children()]
+        assert new != pid
+
+
 class TestReferenceValues:
     """Seed-independent sweep families and time-localization ratios, pinned to
     the values the benchmark checks against (bench/reference.json)."""
@@ -556,12 +644,10 @@ class TestReferenceValues:
     REFERENCE = json.loads(
         (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
     )
-    MODES = {"weighted": (WeightParams(), True), "control": (WeightParams(delta=1e-12), False)}
-
     @pytest.mark.parametrize("N", [8, 16, 32, 64])
     @pytest.mark.parametrize("mode", ["weighted", "control"])
     def test_sweep_families(self, mode, N):
-        params, weighted = self.MODES[mode]
+        params, weighted = MODES[mode]
         rows = bilinear_ratio_sweep(-0.49, 2.1, params, [N], 3, seed=0, weighted=weighted)
         want = self.REFERENCE["sweep"][mode][str(N)]
         assert sorted(r["family"] for r in rows) == sorted(want)

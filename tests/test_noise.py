@@ -10,7 +10,7 @@ import numpy as np
 import oracles
 import pytest
 
-from kdvnoise import noise, pool
+from kdvnoise import noise
 from kdvnoise.noise import (
     GaussianSampleSpec,
     _wilson,
@@ -208,17 +208,6 @@ def whole_batch_norms(spec, N, samples, seed):
         besov_norm_batch(sample_batch(N, min(64, samples - lo), seed, lo), spec)
         for lo in range(0, samples, 64)
     ]))
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """Fix the number of processes tail_sweep takes, as CPU affinity would:
-    split(n) caps it at n, and split(None) counts every CPU again."""
-
-    def processes(n):
-        monkeypatch.setattr(noise, "_processes", lambda _, parts: pool._processes(n, parts))
-
-    return processes
 
 
 class TestTailSplit:
