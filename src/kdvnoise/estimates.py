@@ -19,7 +19,7 @@ import operator
 
 import numpy as np
 
-from .pool import _processes, _tasks
+from .pool import _spread
 from .spectral import _block_index, _block_reduce, bracket
 
 __all__ = [
@@ -531,17 +531,6 @@ def _cell_ratios(cells, s, p, params, seed, weighted):
 _RANDOM_CELL_PAIRS = 40 * 40 + 2400
 
 
-def _deal(costs, n):
-    """Cell indices of n parts: longest first, each to the least-loaded part;
-    each part lists its cells in their original order."""
-    parts, loads = [[] for _ in range(n)], [0] * n
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        k = loads.index(min(loads))
-        parts[k].append(i)
-        loads[k] += costs[i]
-    return [sorted(part) for part in parts]
-
-
 def _integer(x, name):
     try:
         return operator.index(x)
@@ -558,14 +547,8 @@ def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):
     every trial, and each is computed once per call.
 
     The call's distinct cells, (N, family) for a fixed family and (N, trial)
-    for a random trial, are dealt into n = min(CPUs the process may use,
-    cells) parts, so CPU affinity bounds n. The dealing takes the cells
-    longest first, costed at (2N)^2 cross pairs for a fixed family and
-    _RANDOM_CELL_PAIRS for a random trial, and gives each to the part with
-    the least cost so far. The caller computes part 0 and each other part is
-    one task for a worker of the shared pool (kdvnoise.pool); a one-cell
-    sweep starts no process. A ratio depends on its cell alone, so the rows
-    do not depend on n.
+    for a random trial, costed at (2N)^2 cross pairs and _RANDOM_CELL_PAIRS,
+    are dealt over the shared worker pool as kdvnoise.pool describes.
     """
     if not (math.isfinite(p) and p >= 1):  # the sparse route raises values to the power p
         raise ValueError(f"bilinear_ratio_sweep needs a finite p >= 1, got {p}")
@@ -582,11 +565,7 @@ def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):
             rows.append((N, trial, family, (N, family, trial if family == "random" else None)))
     cells = list(dict.fromkeys(row[3] for row in rows))
     costs = [(2 * N) ** 2 if trial is None else _RANDOM_CELL_PAIRS for N, _f, trial in cells]
-    parts = _deal(costs, _processes(None, len(cells)))
-    args = [([cells[i] for i in part], s, p, params, seed, weighted) for part in parts]
-    with _tasks(_cell_ratios, args[1:]) as futures:
-        values = [_cell_ratios(*args[0]), *(fut.result() for fut in futures)]
-    ratios = {cells[i]: v for part, vs in zip(parts, values) for i, v in zip(part, vs)}
+    ratios = dict(zip(cells, _spread(_cell_ratios, cells, costs, (s, p, params, seed, weighted))))
     return [
         {"N": N, "trial": trial, "family": family, "ratio": ratios[cell]}
         for N, trial, family, cell in rows

@@ -28,16 +28,13 @@ blowup limit; only a block that fails it (or holds a NaN or inf) is checked
 member by member. On the dense route a step is 18 array calls.
 
 Each batch run (_run_batch) cuts its rows into fixed 512-row chunks, the
-flow's one unit of work, and takes n = min(workers, chunks) processes. The
-calling process runs chunks 0, n, 2n, ... and worker k the chunks k, k + n,
-..., sent as one task to the package's one pool of worker processes
-(kdvnoise.pool, which tail_sweep's stream ranges share), so a run keeps at
-most n - 1 tasks in flight and never spreads over more processes than it
-asked for. Threads would not pay: a step is 18 numpy calls, and two threads
-hand the GIL back and forth at each, so two of them ran N = 8 no faster than
-one (README has the table). Every chunk, in the caller or in a worker, holds
-the OpenBLAS that numpy bundles at one thread and gives its process's thread
-count back when it ends: the shared pool's processes are the package's only
+flow's one unit of work, and deals them, costed by their rows, over the
+package's shared worker pool as kdvnoise.pool describes. The workers are
+processes, not threads: a step is 18 numpy calls, and two threads hand the
+GIL back and forth at each (CHANGES.md and BENCH_23.json's workers_table
+hold the measurement). Every chunk, in the caller or in a worker, holds the
+OpenBLAS that numpy bundles at one thread and gives its process's thread
+count back when it ends: the pool's processes are the package's only
 parallelism, so BLAS threads would only oversubscribe the cores, and one
 thread fixes the products' summation order, so results are bit-exact across
 BLAS settings and worker counts. Without that library's thread control the
@@ -47,16 +44,13 @@ Two kernels evaluate G_c, picked by N alone. Up to _DENSE_MAX_N = 64 they
 are two dense real DFT products with the phases folded into the tables, on
 the smallest grid their quadrant reduction allows, M = 4 floor(3N/4) + 4
 (52 at N=16, 196 at N=64). Above it an irfft/rfft pair on the power of two
-above 3N takes the phases into the padded spectrum and the output factor.
-With one BLAS thread the products took 7.2 against 19.0 us for one row at
-N=64 and 1.07 against 1.72 ms for 512 rows; at N=80 the FFT won at 16 rows
-(README has the table).
+above 3N takes the phases into the padded spectrum and the output factor;
+_DENSE_MAX_N is where the FFT overtook the dense products (README has the
+table).
 
-Every product goes through np.dot. It gives np.matmul's bytes and costs
-about 0.7 us less per call, and a one-row dense step makes 12 products (two
-per kernel call, four stage sums). It also pays about one extra pass over
-each output, so on 512-row chunks at N = 8 and 16 np.matmul took 8-21% less
-time per product, and batch runs there are 4-6% slower (README).
+Every product goes through np.dot, which gives np.matmul's bytes at about
+0.7 us less per call, for the 12 products of a one-row dense step, and
+costs 512-row batch runs at N = 8 and 16 4-6% (README has the table).
 """
 from __future__ import annotations
 
@@ -64,13 +58,13 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import itertools
+import operator
 import os
 import threading
 
 import numpy as np
 
-from .pool import _processes, _tasks
+from .pool import _spread
 from .spectral import FourierField, _dealias_length, _hamiltonian_rows, _l2_rows
 # hamiltonian stays importable from here: bench/workloads.py traces
 # flow.hamiltonian
@@ -429,22 +423,22 @@ if hasattr(os, "register_at_fork"):
 def _run_chunk(first, rows, dt, nsteps, t0):
     """Run the chunk of members first, first + 1, ... in this process.
 
-    Returns (first, final rows), or (first, the IntegratorBlowupError that
-    stopped it). The caller and the workers run their chunks alike: through
-    their own process's stage kernel cache, under their own one-thread hold.
+    Returns its final rows, or the IntegratorBlowupError that stopped it.
+    The caller and the workers run their chunks alike: through their own
+    process's stage kernel cache, under their own one-thread hold.
     """
     with _one_blas_thread():
         try:
             final = _rk4_chunk(rows, _stage_kernels(rows.shape[1], dt), dt, nsteps, t0, first)
         except IntegratorBlowupError as exc:
-            return first, exc
+            return exc
     # a copy frees the stage stack with this call: with the view kept alive, the
     # bench's one-row trajectory workload ran ~5% slower (2-core host)
-    return first, final.copy()
+    return final.copy()
 
 
 def _run_chunks(chunks, dt, nsteps, t0):
-    """_run_chunk on each (first member, rows) of chunks, in order: a worker's task."""
+    """The final rows, or the IntegratorBlowupError, of each (first member, rows) of chunks."""
     return [_run_chunk(first, rows, dt, nsteps, t0) for first, rows in chunks]
 
 
@@ -453,20 +447,14 @@ def _run_batch(rows, dt, nsteps, workers, t0):
     if count == 0 or nsteps == 0:
         return rows.copy()
     chunks = [(lo, rows[lo : lo + _CHUNK_ROWS]) for lo in range(0, count, _CHUNK_ROWS)]
-    n = _processes(workers, len(chunks))
+    finals = _spread(_run_chunks, chunks, [len(c) for _, c in chunks], (dt, nsteps, t0), workers)
     out = np.empty_like(rows)
     failures = []
-    # the caller runs chunks 0, n, 2n, ... and worker k, as one task, the
-    # chunks k, k + n, ...: a run keeps at most n - 1 tasks in flight
-    lanes = [(chunks[k::n], dt, nsteps, t0) for k in range(1, n)]
-    with _tasks(_run_chunks, lanes) as futures:
-        mine = (_run_chunk(first, c, dt, nsteps, t0) for first, c in chunks[::n])
-        theirs = itertools.chain.from_iterable(fut.result() for fut in futures)
-        for first, final in itertools.chain(mine, theirs):
-            if isinstance(final, IntegratorBlowupError):
-                failures.append(final)
-            else:
-                out[first : first + len(final)] = final
+    for (first, _), final in zip(chunks, finals):
+        if isinstance(final, IntegratorBlowupError):
+            failures.append(final)
+        else:
+            out[first : first + len(final)] = final
     # every chunk runs to its end or its own blowup; report them all at once
     if failures:
         members = sorted(m for exc in failures for m in exc.members)
@@ -492,9 +480,16 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     it independent of the worker count. Each segment that takes a step takes
     the stage kernels' tables from the per-(N, dt) cache of every process
     that runs one of its chunks, or builds them there once, and every chunk
-    reads them; a run with no step asks for none. workers=None runs on every
-    CPU the process may use, the caller and a worker process per further CPU.
+    reads them; a run with no step asks for none. workers is None or an
+    integer >= 1, also checked up front; None runs on every CPU the process
+    may use, the caller and a worker process per further CPU.
     """
+    try:
+        valid = workers is None or operator.index(workers) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     times = [float(t) for t in times]
     if not times:
         raise ValueError("times must name at least one checkpoint")

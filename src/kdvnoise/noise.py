@@ -20,11 +20,8 @@ policy (NEP 19) keeps the SeedSequence hash, PCG64 seeding and the normal
 stream fixed across releases, and the tests compare every row byte for byte
 with the per-row construction.
 
-tail_sweep splits its streams over the processes of the pool the flow uses
-too (kdvnoise.pool): n = min(CPUs the process may use, blocks) contiguous
-ranges of whole blocks, the first normed in the caller and each other one
-in a worker, which returns only its norms. The blocks are the ones a
-one-process sweep draws, so the counts do not depend on n.
+tail_sweep deals the sampling loop's blocks over the worker pool the flow
+shares, as kdvnoise.pool describes.
 """
 from __future__ import annotations
 
@@ -35,7 +32,7 @@ import operator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .pool import _processes, _tasks
+from .pool import _spread
 # besov_norm_batch stays importable from here: bench/workloads.py traces
 # noise.besov_norm_batch
 from .spectral import FourierField, _besov_norm_rows, besov_norm_batch, l2_mass  # noqa: F401
@@ -182,20 +179,21 @@ def _block_rows(N, count):
     return max(1, min(count, _BLOCK, _BLOCK_VALUES // N))
 
 
-def _sample_blocks(N, count, seed, stream_start, out=None, step_seed=False):
+def _sample_blocks(N, count, seed, stream_start, out=None, step_seed=False, starts=None):
     """The sampling loop: count rows, row i stream stream_start+i of seed.
 
     With step_seed, row i is instead stream stream_start of seed seed+i.
     Each pass hashes the seed words of one block of _block_rows(N, count)
     rows and draws them into one parts buffer. The rows go into out[b0:b1]
     when out is given, else into one reused block, which the next pass
-    overwrites. Yields (b0, block) for each filled block.
+    overwrites. starts lists the first rows of the blocks to draw, in order,
+    by default every block's. Yields (b0, block) for each filled block.
     """
     size = _block_rows(N, count)
     block = None if out is not None else np.empty((size, N), dtype=np.complex128)
     # each row's N real then N imaginary parts
     parts = np.empty((size, 2 * N))
-    for b0 in range(0, count, size):
+    for b0 in range(0, count, size) if starts is None else starts:
         b1 = min(count, b0 + size)
         first = (seed + b0, stream_start) if step_seed else (seed, stream_start + b0)
         for row, w in zip(parts, _seed_words(*first, b1 - b0, step_seed)):
@@ -207,21 +205,30 @@ def _sample_blocks(N, count, seed, stream_start, out=None, step_seed=False):
         yield b0, dest
 
 
+def _integer(x, name):
+    """x as an int; a ValueError names the argument when x is not an integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 def _check_rows(N, count, seed, stream_start):
-    """seed and stream_start as ints, after checking every argument's range."""
-    seed, stream_start = operator.index(seed), operator.index(stream_start)
+    """The four arguments as ints, after checking every argument's type and range."""
+    N, count = _integer(N, "N"), _integer(count, "count")
+    seed, stream_start = _integer(seed, "seed"), _integer(stream_start, "stream")
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if seed < 0 or stream_start < 0:
         raise ValueError("seed and stream must be nonnegative")
-    return seed, stream_start
+    return N, count, seed, stream_start
 
 
 def sample_batch(N, count, seed, stream_start=0):
     """(count, N) coefficient rows; row i is exactly the stream_start+i stream."""
-    seed, stream_start = _check_rows(N, count, seed, stream_start)
+    N, count, seed, stream_start = _check_rows(N, count, seed, stream_start)
     out = np.empty((count, N), dtype=np.complex128)
     for _ in _sample_blocks(N, count, seed, stream_start, out):
         pass
@@ -253,40 +260,33 @@ def _wilson(count, n):
     return lo, hi
 
 
-def _range_norms(norm_spec, N, seed, start, count):
-    """Norms of streams start..start+count-1, each block normed as it is drawn."""
-    norms = np.empty(count)
-    weighted = np.empty((_block_rows(N, count), N))
-    for b0, block in _sample_blocks(N, count, seed, start):
-        norms[b0 : b0 + len(block)] = _besov_norm_rows(block, norm_spec, weighted[: len(block)])
-    return norms
+def _block_norms(starts, norm_spec, N, samples, seed):
+    """Norms of the streams of each of tail_sweep's blocks that starts at a row of starts.
+
+    The blocks are the sampling loop's over samples rows, each normed as it is
+    drawn into one reused block.
+    """
+    weighted = np.empty((_block_rows(N, samples), N))
+    blocks = _sample_blocks(N, samples, seed, 0, starts=starts)
+    return [_besov_norm_rows(block, norm_spec, weighted[: len(block)]) for _, block in blocks]
 
 
 def tail_sweep(norm_spec, N, Ks, samples, seed):
     """Tail estimates over a K grid from the norms of streams 0..samples-1.
 
-    The streams are cut on the sampling loop's block boundaries into
-    n = min(CPUs the process may use, blocks) contiguous ranges of whole
-    blocks, so CPU affinity bounds n. The caller norms range 0 and each
-    other range is one task for a worker of the shared pool
-    (kdvnoise.pool), which returns its norms alone; a one-block sweep
-    starts no process. Each process norms its blocks as they are drawn, so
-    it holds one block and its range's norms however large samples is.
-    Every row is drawn and normed in the block it has in a one-process
-    sweep, and a row's norm depends on that row only, so the counts equal
-    those of the whole batch for any n.
+    The sampling loop's blocks, costed by their rows, are dealt over the
+    shared worker pool as kdvnoise.pool describes, and each process norms
+    its blocks as they are drawn, so it holds one block and its blocks'
+    norms however large samples is.
     """
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    seed, _ = _check_rows(N, samples, seed, 0)
+    N, _, seed, _ = _check_rows(N, samples, seed, 0)
     size = _block_rows(N, samples)
-    blocks = -(-samples // size)
-    n = _processes(None, blocks)
-    # range k holds blocks k * blocks // n up to (k + 1) * blocks // n
-    cuts = [min(samples, size * (k * blocks // n)) for k in range(n + 1)]
-    ranges = [(norm_spec, N, seed, lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
-    with _tasks(_range_norms, ranges[1:]) as futures:
-        norms = np.concatenate([_range_norms(*ranges[0]), *(fut.result() for fut in futures)])
+    starts = list(range(0, samples, size))
+    costs = [min(size, samples - b0) for b0 in starts]
+    norms = np.concatenate(_spread(_block_norms, starts, costs, (norm_spec, N, samples, seed)))
     rows = []
     for K in Ks:
         count = int(np.sum(norms > K))
@@ -354,9 +354,10 @@ def decay_median_curve(Ms, delta, n_seeds, seed0=0):
     Each block size M reads the stream M rows of the n_seeds seeds from the
     sampling loop, block by block.
     """
+    n_seeds = _integer(n_seeds, "n_seeds")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be positive, got {n_seeds}")
-    seed0, _ = _check_rows(1, n_seeds, seed0, 0)
+    _, _, seed0, _ = _check_rows(1, n_seeds, seed0, 0)
     out = []
     for M in Ms:
         if M < 1 or (M & (M - 1)) != 0:

@@ -1,12 +1,17 @@
 """The package's one pool of worker processes, shared by the flow, the sampler
 and the bilinear ratio sweep.
 
-A run that splits its work over n processes (_processes) does one part in
-the calling process and sends each of the other n - 1 parts to the pool as
-one task (_tasks), so a run hands each worker one part and keeps at most
-n - 1 tasks in flight. evolve_batch's parts are its workers' 512-row chunk
-lists, tail_sweep's are contiguous stream ranges and bilinear_ratio_sweep's
-are lists of its (N, family) and (N, trial) cells.
+Every run that splits its work goes through _spread, with one rule: its
+items, each with a cost, are dealt into n = min(workers, items) parts
+(_processes; workers=None counts every CPU the process may use, so CPU
+affinity bounds n), longest first, each to the part with the least cost so
+far (_deal). The caller runs part 0 and sends each other part to the pool as
+one task, so a run keeps at most n - 1 tasks in flight; zero items or one
+item start no process. A result depends on its item alone, so the results,
+returned in item order, do not depend on n. On equal costs item i goes to
+part i mod n. evolve_batch's items are its 512-row chunks, tail_sweep's the
+sampling loop's blocks and bilinear_ratio_sweep's its (N, family) and
+(N, trial) cells.
 
 The pool holds at least the n - 1 workers its largest run asked for: forked
 where the platform can fork, made by the first run that needs it, and
@@ -19,7 +24,6 @@ BrokenExecutor and closes the pool; the next run that needs one forks anew.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import os
 import signal
 import threading
@@ -109,22 +113,41 @@ def _close_pool():
 atexit.register(_close_pool)
 
 
-@contextlib.contextmanager
-def _tasks(fn, args):
-    """Run fn(*a) for each tuple a of args in the pool, one task each; yields the futures.
+def _deal(costs, n):
+    """Item indices of n parts: longest first, each to the least-loaded part;
+    each part lists its items in their original order."""
+    parts, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        parts[k].append(i)
+        loads[k] += costs[i]
+    return [sorted(part) for part in parts]
 
-    With no args it yields [] and touches no pool. A dead worker's
-    BrokenExecutor closes the pool before it leaves the block, and leaving
-    the block cancels every task that has not started.
+
+def _spread(fn, items, costs, args=(), workers=None):
+    """fn's result for each of items, in item order, from fn(part, *args) on each part.
+
+    items are dealt by their costs into _processes(workers, len(items)) parts;
+    fn(part, *args) returns one result per item of part. The caller runs
+    part 0, and each other part is one pool task. A dead worker's
+    BrokenExecutor closes the pool, and a run that raises cancels every task
+    that has not started.
     """
+    parts = _deal(costs, _processes(workers, len(items)))
+    lists = [[items[i] for i in part] for part in parts]
     futures = []
     try:
-        if args:
-            futures = _submit(fn, args)
-        yield futures
+        if len(lists) > 1:
+            futures = _submit(fn, [(part, *args) for part in lists[1:]])
+        results = [fn(lists[0], *args), *(fut.result() for fut in futures)]
     except BrokenExecutor:
         _close_pool()
         raise
     finally:
         for fut in futures:
             fut.cancel()
+    out = [None] * len(items)
+    for part, values in zip(parts, results):
+        for i, value in zip(part, values):
+            out[i] = value
+    return out

@@ -1,6 +1,6 @@
 import pytest
 
-from kdvnoise import estimates, noise, pool
+from kdvnoise import pool
 
 
 @pytest.fixture
@@ -15,12 +15,12 @@ def fresh_pool():
 
 @pytest.fixture
 def split(monkeypatch):
-    """Fix the number of processes tail_sweep and bilinear_ratio_sweep take,
-    as CPU affinity would: split(n) caps it at n, and split(None) counts
-    every CPU again."""
+    """Fix the number of processes a run with workers=None takes, as CPU
+    affinity would: split(n) caps it at n, and split(None) counts every CPU
+    again. A run that names its workers keeps them."""
+    processes = pool._processes
 
-    def processes(n):
-        for module in (noise, estimates):
-            monkeypatch.setattr(module, "_processes", lambda _, parts: pool._processes(n, parts))
+    def cap(n):
+        monkeypatch.setattr(pool, "_processes", lambda workers, parts: processes(workers or n, parts))
 
-    return processes
+    return cap

@@ -296,6 +296,25 @@ class TestStep:
         assert f"t~{times[0]:.4g};" in str(exc.value)
 
 
+class TestWorkersArgument:
+    CFG = FlowConfig(dt=0.01, T=0.02)
+
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2"])
+    def test_bad_workers_refused(self, workers):
+        # 0 and -2 ran one process, and 2.5 raised TypeError from range
+        coeffs = sample_batch(8, 3, 26)
+        with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+            evolve_batch(coeffs, self.CFG, workers=workers)
+        # refused before the iterator is returned, as bad times are
+        with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+            evolve_checkpoints(coeffs, self.CFG, [0.01], workers=workers)
+
+    def test_numpy_integer_workers(self):
+        coeffs = sample_batch(8, 600, 26)
+        want = evolve_batch(coeffs, self.CFG, workers=1)
+        assert np.array_equal(evolve_batch(coeffs, self.CFG, workers=np.int64(2)), want)
+
+
 class TestEvolve:
     def test_time_zero(self):
         f = wn(8, 7)

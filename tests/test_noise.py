@@ -158,6 +158,29 @@ class TestArgumentErrors:
         with pytest.raises(ValueError, match="N must be positive"):
             tail_sweep(NormSpec(-0.49, 2.1, INF), 0, [1.0], 10, 1)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # the first two raised numpy's TypeError
+            (lambda: tail_sweep(NormSpec(-0.49, 2.1, INF), 8, [1.0], 100.0, 1), "samples"),
+            (lambda: tail_sweep(NormSpec(-0.49, 2.1, INF), 8.0, [1.0], 100, 1), "N"),
+            (lambda: sample_batch(4, 3.0, 0), "count"),
+            (lambda: sample_batch(4, 3, 0.5), "seed"),
+            (lambda: decay_median_curve([4], 0.2, 2.0), "n_seeds"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, call, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = NormSpec(-0.49, 2.1, INF)
+        rows = tail_sweep(spec, np.int64(8), [1.0], np.int64(100), np.int64(1))
+        assert rows == tail_sweep(spec, 8, [1.0], 100, 1)
+        assert type(rows[0]["samples"]) is int
+        got = sample_batch(np.int64(4), np.int64(3), np.int64(0))
+        assert got.tobytes() == sample_batch(4, 3, 0).tobytes()
+
 
 class TestTailStream:
     """tail_sweep norms the sampling loop's blocks as they are drawn."""

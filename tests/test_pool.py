@@ -1,0 +1,69 @@
+"""The shared worker pool's one dealing rule: pool._deal and pool._spread."""
+import multiprocessing
+import os
+
+import pytest
+
+from kdvnoise import estimates, pool
+from kdvnoise.estimates import WeightParams, bilinear_ratio_sweep
+
+
+def tagged(part, tag):
+    """Each item of part with the tag and the pid of the process that ran it."""
+    return [(item, tag, os.getpid()) for item in part]
+
+
+class TestDeal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("items", [1, 2, 5, 9])
+    @pytest.mark.parametrize("last", [512, 52])
+    def test_equal_costs_deal_round_robin(self, n, items, last):
+        # the flow's chunks: every one 512 rows but maybe the last
+        costs = [512] * (items - 1) + [last]
+        n = min(n, items)
+        assert pool._deal(costs, n) == [list(range(k, items, n)) for k in range(n)]
+
+    def test_parts_keep_item_order(self):
+        parts = pool._deal([1, 9, 4, 9, 2, 7], 3)
+        assert sorted(i for part in parts for i in part) == list(range(6))
+        assert all(part == sorted(part) for part in parts)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("N", [8, 16, 32, 64])
+    def test_estimates_bench_cells_balanced(self, monkeypatch, N, n):
+        # the costs one call of the estimates bench deals: 20 trials at one N,
+        # three fixed families and five random trials
+        dealt = []
+
+        def record(fn, items, costs, args):
+            dealt.append(costs)
+            return [0.0] * len(items)
+
+        monkeypatch.setattr(estimates, "_spread", record)
+        bilinear_ratio_sweep(-0.49, 2.1, WeightParams(), [N], 20, 1)
+        (costs,) = dealt
+        assert len(costs) == 8
+        loads = [sum(costs[i] for i in part) for part in pool._deal(costs, n)]
+        # longest first to the least-loaded part: no part exceeds another by
+        # more than one cell
+        assert max(loads) - min(loads) <= max(costs)
+
+
+class TestSpread:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_item_order(self, fresh_pool, workers):
+        items = list(range(11))
+        costs = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
+        got = pool._spread(tagged, items, costs, ("t",), workers)
+        assert [(item, tag) for item, tag, _ in got] == [(i, "t") for i in items]
+        pids = {pid for _, _, pid in got}
+        assert len(pids) == workers
+        # the caller runs part 0, which holds the longest item
+        assert got[costs.index(max(costs))][2] == os.getpid()
+
+    @pytest.mark.parametrize("items", [[], ["one"]])
+    def test_zero_or_one_item_starts_no_process(self, fresh_pool, items):
+        for workers in (None, 3):
+            got = pool._spread(tagged, items, [1] * len(items), ("t",), workers)
+            assert got == [(item, "t", os.getpid()) for item in items]
+        assert multiprocessing.active_children() == []
