@@ -15,12 +15,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 
 import numpy as np
 
 from .pool import _spread
-from .spectral import _block_index, _block_reduce, bracket
+from .spectral import _block_index, _block_reduce, _integer, bracket
 
 __all__ = [
     "SpaceTimeCoeffs",
@@ -60,6 +59,7 @@ def resonance_residual(n1, n2):
 
 def resonance_residual_max(bound):
     """Max |residual| over the full integer square |n1|,|n2| <= bound."""
+    bound = _integer(bound, "bound", 0)
     k = np.arange(-bound, bound + 1, dtype=np.int64)
     return int(np.abs(_residual(k[:, None], k[None, :])).max())
 
@@ -234,8 +234,7 @@ class SpaceTimeCoeffs:
     __slots__ = ("N", "tau_max", "dtau", "values")
 
     def __init__(self, N, tau_max, dtau, values):
-        if N < 1:
-            raise ValueError("cutoff must be positive")
+        N = _integer(N, "N", 1)
         if not (tau_max > 0 and dtau > 0):
             raise ValueError("grid parameters must be positive")
         L = _grid_length(tau_max, dtau)
@@ -244,7 +243,7 @@ class SpaceTimeCoeffs:
             raise ValueError(f"values must have shape {(2 * N, L)}, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("values must be finite")
-        self.N = int(N)
+        self.N = N
         self.tau_max = float(tau_max)
         self.dtau = float(dtau)
         self.values = arr
@@ -271,6 +270,7 @@ class SpaceTimeCoeffs:
 
     @classmethod
     def zeros(cls, N, tau_max=None, dtau=_DTAU):
+        N = _integer(N, "N", 1)
         if tau_max is None:
             tau_max = _default_tau_max(N)
         L = _grid_length(tau_max, dtau)
@@ -397,6 +397,7 @@ def family_points(family, N, p, rng):
     pair concentrates products onto the output curve at a low/high mode;
     random mixes curve-adjacent, resonance-translated, and uniform points.
     """
+    N = _integer(N, "N", 1)
     tau_max = _default_tau_max(N)
 
     def snap(t):
@@ -531,17 +532,10 @@ def _cell_ratios(cells, s, p, params, seed, weighted):
 _RANDOM_CELL_PAIRS = 40 * 40 + 2400
 
 
-def _integer(x, name):
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"bilinear_ratio_sweep needs an integer {name}, got {x!r}") from None
-
-
 def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):
     """Max-ratio table over seeded trial families, one row per (N, trial).
 
-    Needs finite p >= 1, every N an integer >= 2 and an integer trials >= 0.
+    Needs finite p >= 1, every N an integer >= 2 and integers trials and seed >= 0.
     Only the random family draws from the trial's rng: at a given N the
     out_curve_lo, out_curve_hi and free_curve rows carry the same ratio at
     every trial, and each is computed once per call.
@@ -552,12 +546,8 @@ def bilinear_ratio_sweep(s, p, params, N_list, trials, seed, weighted=True):
     """
     if not (math.isfinite(p) and p >= 1):  # the sparse route raises values to the power p
         raise ValueError(f"bilinear_ratio_sweep needs a finite p >= 1, got {p}")
-    N_list = [_integer(N, "N") for N in N_list]
-    if any(N < 2 for N in N_list):
-        raise ValueError(f"bilinear_ratio_sweep needs every N >= 2, got {N_list}")
-    trials = _integer(trials, "trials")
-    if trials < 0:
-        raise ValueError(f"bilinear_ratio_sweep needs trials >= 0, got {trials}")
+    N_list = [_integer(N, "N", 2) for N in N_list]
+    trials, seed = _integer(trials, "trials", 0), _integer(seed, "seed", 0)
     rows = []  # (N, trial, family, cell) of each row
     for N in N_list:
         for trial in range(trials):
@@ -640,7 +630,7 @@ def quadratic_bracket_sum(n, lam, l1, l2, cutoff):
         raise ValueError("exponents must be positive")
     if not l1 + 2 * l2 > 1:
         raise ValueError("need l1 + 2*l2 > 1")
-    cutoff = int(cutoff)
+    cutoff = _integer(cutoff, "cutoff", 0)
     total = 0.0
     chunk = 10**6
     for lo in range(-cutoff, cutoff + 1, chunk):

@@ -45,12 +45,13 @@ are two dense real DFT products with the phases folded into the tables, on
 the smallest grid their quadrant reduction allows, M = 4 floor(3N/4) + 4
 (52 at N=16, 196 at N=64). Above it an irfft/rfft pair on the power of two
 above 3N takes the phases into the padded spectrum and the output factor;
-_DENSE_MAX_N is where the FFT overtook the dense products (README has the
-table).
+_DENSE_MAX_N is where the FFT overtook the dense products (the CHANGES.md
+entries "One stage kernel per IF-RK4 phase..." and "Small flow chunks call
+BLAS through np.dot..." have the timings).
 
-Every product goes through np.dot, which gives np.matmul's bytes at about
-0.7 us less per call, for the 12 products of a one-row dense step, and
-costs 512-row batch runs at N = 8 and 16 4-6% (README has the table).
+Every product goes through np.dot, which gives np.matmul's bytes, for one
+code path: it is faster on one-row steps and slower on 512-row chunks
+(BENCH_22.json's single_entry_point has the pairs).
 """
 from __future__ import annotations
 
@@ -58,14 +59,13 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import operator
 import os
 import threading
 
 import numpy as np
 
 from .pool import _spread
-from .spectral import FourierField, _dealias_length, _hamiltonian_rows, _l2_rows
+from .spectral import FourierField, _dealias_length, _hamiltonian_rows, _integer, _l2_rows
 # hamiltonian stays importable from here: bench/workloads.py traces
 # flow.hamiltonian
 from .spectral import hamiltonian  # noqa: F401
@@ -484,12 +484,8 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     integer >= 1, also checked up front; None runs on every CPU the process
     may use, the caller and a worker process per further CPU.
     """
-    try:
-        valid = workers is None or operator.index(workers) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
+    if workers is not None:
+        workers = _integer(workers, "workers", 1)
     times = [float(t) for t in times]
     if not times:
         raise ValueError("times must name at least one checkpoint")

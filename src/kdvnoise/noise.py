@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .pool import _spread
+from .spectral import FourierField, _besov_norm_rows, _integer, l2_mass
 # besov_norm_batch stays importable from here: bench/workloads.py traces
 # noise.besov_norm_batch
-from .spectral import FourierField, _besov_norm_rows, besov_norm_batch, l2_mass  # noqa: F401
+from .spectral import besov_norm_batch  # noqa: F401
 
 __all__ = [
     "GaussianSampleSpec",
@@ -58,10 +58,9 @@ class GaussianSampleSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("cutoff must be positive")
-        if self.seed < 0 or self.stream < 0:
-            raise ValueError("seed and stream must be nonnegative")
+        _integer(self.N, "N", 1)
+        _integer(self.seed, "seed", 0)
+        _integer(self.stream, "stream", 0)
 
 
 # SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -205,30 +204,10 @@ def _sample_blocks(N, count, seed, stream_start, out=None, step_seed=False, star
         yield b0, dest
 
 
-def _integer(x, name):
-    """x as an int; a ValueError names the argument when x is not an integer."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
-
-
-def _check_rows(N, count, seed, stream_start):
-    """The four arguments as ints, after checking every argument's type and range."""
-    N, count = _integer(N, "N"), _integer(count, "count")
-    seed, stream_start = _integer(seed, "seed"), _integer(stream_start, "stream")
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    if seed < 0 or stream_start < 0:
-        raise ValueError("seed and stream must be nonnegative")
-    return N, count, seed, stream_start
-
-
 def sample_batch(N, count, seed, stream_start=0):
     """(count, N) coefficient rows; row i is exactly the stream_start+i stream."""
-    N, count, seed, stream_start = _check_rows(N, count, seed, stream_start)
+    N, count = _integer(N, "N", 1), _integer(count, "count", 0)
+    seed, stream_start = _integer(seed, "seed", 0), _integer(stream_start, "stream", 0)
     out = np.empty((count, N), dtype=np.complex128)
     for _ in _sample_blocks(N, count, seed, stream_start, out):
         pass
@@ -279,10 +258,11 @@ def tail_sweep(norm_spec, N, Ks, samples, seed):
     its blocks as they are drawn, so it holds one block and its blocks'
     norms however large samples is.
     """
-    samples = _integer(samples, "samples")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    N, _, seed, _ = _check_rows(N, samples, seed, 0)
+    N, seed = _integer(N, "N", 1), _integer(seed, "seed", 0)
+    samples = _integer(samples, "samples", 1)
+    Ks = [float(K) for K in Ks]
+    if not all(map(math.isfinite, Ks)):
+        raise ValueError(f"every K must be finite, got {Ks}")
     size = _block_rows(N, samples)
     starts = list(range(0, samples, size))
     costs = [min(size, samples - b0) for b0 in starts]
@@ -294,7 +274,7 @@ def tail_sweep(norm_spec, N, Ks, samples, seed):
         lo, hi = _wilson(count, samples)
         rows.append(
             {
-                "K": float(K),
+                "K": K,
                 "count": count,
                 "samples": samples,
                 "estimate": est,
@@ -318,6 +298,8 @@ def fit_log_tail(rows):
     if len(usable) < 3:
         raise ValueError(f"need at least 3 uncensored rows, have {len(usable)}")
     x = np.array([r["K"] ** 2 for r in usable])
+    if not np.isfinite(x).all() or len(set(x)) < 2:
+        raise ValueError("the uncensored rows need finite K and at least 2 distinct K^2")
     y = np.log(np.array([r["estimate"] for r in usable]))
     w = np.array([r["count"] for r in usable], dtype=float)
     W = w.sum()
@@ -354,13 +336,10 @@ def decay_median_curve(Ms, delta, n_seeds, seed0=0):
     Each block size M reads the stream M rows of the n_seeds seeds from the
     sampling loop, block by block.
     """
-    n_seeds = _integer(n_seeds, "n_seeds")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
-    _, _, seed0, _ = _check_rows(1, n_seeds, seed0, 0)
+    n_seeds, seed0 = _integer(n_seeds, "n_seeds", 1), _integer(seed0, "seed", 0)
     out = []
     for M in Ms:
-        if M < 1 or (M & (M - 1)) != 0:
+        if _integer(M, "M", 1) & (M - 1):
             raise ValueError(f"M must be a power of two, got {M}")
         vals = np.empty(n_seeds)
         for b0, g in _sample_blocks(M, n_seeds, seed0, M, step_seed=True):

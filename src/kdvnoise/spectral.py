@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -26,6 +27,17 @@ __all__ = [
 ]
 
 
+def _integer(x, name, low):
+    """x as an int; a ValueError names the argument unless x is an integer >= low."""
+    try:
+        value = operator.index(x)
+    except TypeError:
+        value = None
+    if value is None or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    return value
+
+
 def bracket(x):
     """Japanese bracket 1 + |x|, elementwise on arrays."""
     return 1.0 + np.abs(x)
@@ -37,8 +49,7 @@ class FourierField:
     __slots__ = ("_N", "_coeffs")
 
     def __init__(self, N, coeffs):
-        if not isinstance(N, (int, np.integer)) or N < 1:
-            raise ValueError(f"cutoff must be a positive integer, got {N!r}")
+        N = _integer(N, "N", 1)
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.shape != (N,):
             raise ValueError(f"expected {N} coefficients, got shape {arr.shape}")
@@ -46,7 +57,7 @@ class FourierField:
             raise ValueError("coefficients must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
-        self._N = int(N)
+        self._N = N
         self._coeffs = arr
 
     @property
@@ -60,11 +71,12 @@ class FourierField:
 
     @classmethod
     def zeros(cls, N):
-        return cls(N, np.zeros(N, dtype=np.complex128))
+        return cls.from_pairs(N, {})
 
     @classmethod
     def from_pairs(cls, N, pairs):
         """Build from a {positive mode: coefficient} mapping."""
+        N = _integer(N, "N", 1)
         c = np.zeros(N, dtype=np.complex128)
         for n, v in pairs.items():
             if not 1 <= n <= N:
@@ -153,9 +165,9 @@ def _grid_from_coeffs(coeffs, M):
 
 
 def grid_values(f, M):
-    """Real-space samples at x_j = 2*pi*j/M for j = 0..M-1."""
-    if M % 2 != 0 or M < 2 * f.N + 2:
-        raise ValueError(f"grid length {M} too short for cutoff {f.N}")
+    """Real-space samples at x_j = 2*pi*j/M for j = 0..M-1; M is even and >= 2N + 2."""
+    if _integer(M, "M", 2 * f.N + 2) % 2 != 0:
+        raise ValueError(f"grid length {M} must be even")
     return _grid_from_coeffs(f.coeffs, M)
 
 

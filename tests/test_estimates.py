@@ -47,6 +47,13 @@ class TestResonanceIdentity:
 
     def test_exhaustive_small(self):
         assert resonance_residual_max(50) == 0
+        assert resonance_residual_max(np.int64(3)) == 0
+
+    @pytest.mark.parametrize("bound", [2.5, 3.0, -1])
+    def test_exhaustive_bound_must_be_an_integer(self, bound):
+        # 2.5 ran on the grid -2.5, -1.5, ..., 2.5
+        with pytest.raises(ValueError, match="bound must be an integer >= 0"):
+            resonance_residual_max(bound)
 
     def test_integer_type(self):
         assert isinstance(resonance_residual(123456, -654321), int)
@@ -250,6 +257,28 @@ class TestSpaceTimeCoeffs:
         with pytest.raises(ValueError):
             SpaceTimeCoeffs(4, 16.0, 0.5, v)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # zeros and from_points raised numpy's TypeError
+            lambda: SpaceTimeCoeffs.zeros(8.5),
+            lambda: SpaceTimeCoeffs.zeros(4.0, tau_max=16.0),
+            lambda: SpaceTimeCoeffs.from_points(4.0, {}, tau_max=16.0),
+            lambda: SpaceTimeCoeffs(4.0, 16.0, 0.5, np.zeros((8, 65))),
+            lambda: SpaceTimeCoeffs(0, 16.0, 0.5, np.zeros((0, 65))),
+            lambda: SpaceTimeCoeffs.zeros(0, tau_max=16.0),
+        ],
+    )
+    def test_cutoff_must_be_an_integer(self, call):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            call()
+
+    def test_numpy_integer_cutoff(self):
+        f = SpaceTimeCoeffs.zeros(np.int64(4), tau_max=16.0)
+        assert type(f.N) is int and f.values.shape == (8, 65)
+        g = SpaceTimeCoeffs(np.int64(4), 16.0, 0.5, f.values)
+        assert type(g.N) is int and g.values.tobytes() == f.values.tobytes()
+
 
 class TestBourgainNorms:
     def test_zero(self):
@@ -428,15 +457,18 @@ class TestRatioSweep:
     @pytest.mark.parametrize(
         "change, match",
         [
-            ({"N_list": [0]}, "N >= 2"),
-            ({"N_list": [1]}, "N >= 2"),
-            ({"N_list": [8, 1]}, "N >= 2"),
+            ({"N_list": [0]}, "N must be an integer >= 2"),
+            ({"N_list": [1]}, "N must be an integer >= 2"),
+            ({"N_list": [8, 1]}, "N must be an integer >= 2"),
             ({"p": 0.5}, "p >= 1"),
-            ({"trials": -3}, "trials >= 0"),
+            ({"trials": -3}, "trials must be an integer >= 0"),
             # these raised IndexError from the row map and TypeError from range
-            ({"N_list": [8.0]}, "integer N"),
-            ({"N_list": [16, 8.5]}, "integer N"),
-            ({"trials": 2.5}, "integer trials"),
+            ({"N_list": [8.0]}, "N must be an integer >= 2"),
+            ({"N_list": [16, 8.5]}, "N must be an integer >= 2"),
+            ({"trials": 2.5}, "trials must be an integer >= 0"),
+            # these raised numpy's "seed must be integer" and "expected non-negative integer"
+            ({"seed": 1.5}, "seed must be an integer >= 0"),
+            ({"seed": -1}, "seed must be an integer >= 0"),
         ],
     )
     def test_schema_rules_enforced(self, change, match, split, fresh_pool):
@@ -550,6 +582,18 @@ class TestRatioSweep:
             want = len(fpts) + len(gpts) + len(outputs) if weighted else len(outputs)
             assert sizes == [want], family
 
+    @pytest.mark.parametrize("family", ["free_curve", "out_curve_hi", "random"])
+    @pytest.mark.parametrize("N", [8.5, 8.0, 0])
+    def test_family_cutoff_must_be_an_integer(self, family, N):
+        # free_curve at 8.5 returned points off the lattice
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            family_points(family, N, 2.1, sweep_trial_rng(3, 8, 0))
+
+    @pytest.mark.parametrize("family", ["free_curve", "out_curve_lo", "out_curve_hi", "random"])
+    def test_family_numpy_integer_cutoff(self, family):
+        got = family_points(family, np.int64(8), 2.1, sweep_trial_rng(3, 8, 0))
+        assert got == family_points(family, 8, 2.1, sweep_trial_rng(3, 8, 0))
+
     def test_scaling_invariance(self):
         s, p, params, N = -0.49, 2.1, WeightParams(C=3), 6
         rng = sweep_trial_rng(29, N, 0)
@@ -590,7 +634,7 @@ class TestRatioSweepSplit:
 
     def test_numpy_integers_accepted(self, split):
         split(2)
-        rows = self.sweep(np.array([8, 16]), np.int64(5))
+        rows = self.sweep(np.array([8, 16]), np.int64(5), seed=np.int64(31))
         assert rows == self.sweep([8, 16], 5)
         assert all(type(r["N"]) is int and type(r["trial"]) is int for r in rows)
 
@@ -712,6 +756,16 @@ class TestQuadraticBracketSum:
             quadratic_bracket_sum(1, 0.0, 0.5, 0.25, cutoff=100)  # l1+2l2 = 1
         with pytest.raises(ValueError):
             quadratic_bracket_sum(1, 0.0, -0.1, 1.0, cutoff=100)
+
+    @pytest.mark.parametrize("cutoff", [1.5, 100.0, -1])
+    def test_cutoff_must_be_an_integer(self, cutoff):
+        # 1.5 was truncated to 1 by int()
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 0"):
+            quadratic_bracket_sum(1, 0.0, 1.0, 1.0, cutoff=cutoff)
+
+    def test_numpy_integer_cutoff(self):
+        got = quadratic_bracket_sum(5, 300.0, 1.0, 1.0, cutoff=np.int64(1000))
+        assert got == quadratic_bracket_sum(5, 300.0, 1.0, 1.0, cutoff=1000)
 
 
 class TestResonanceSetIntegral:

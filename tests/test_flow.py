@@ -299,14 +299,14 @@ class TestStep:
 class TestWorkersArgument:
     CFG = FlowConfig(dt=0.01, T=0.02)
 
-    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", np.float64(2.0), [2]])
     def test_bad_workers_refused(self, workers):
         # 0 and -2 ran one process, and 2.5 raised TypeError from range
         coeffs = sample_batch(8, 3, 26)
-        with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             evolve_batch(coeffs, self.CFG, workers=workers)
         # refused before the iterator is returned, as bad times are
-        with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             evolve_checkpoints(coeffs, self.CFG, [0.01], workers=workers)
 
     def test_numpy_integer_workers(self):
@@ -861,3 +861,12 @@ class TestLiouville:
         f = wn(13, 19)
         with pytest.raises(ValueError):
             liouville_logdet(f, FlowConfig(dt=1e-3, T=0.1))
+
+    def test_degenerate_probe_refused(self, monkeypatch):
+        # every probe ends on the same row, so the Jacobian is zero
+        def same_rows(rows, cfg):
+            return np.repeat(rows[:1], len(rows), axis=0)
+
+        monkeypatch.setattr(flow, "evolve_batch", same_rows)
+        with pytest.raises(FDProbeError, match="sign=0.0, cond~inf"):
+            liouville_logdet(wn(8, 18), FlowConfig(dt=5e-4, T=0.5))

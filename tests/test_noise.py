@@ -143,19 +143,19 @@ class TestStreamExactness:
 
 class TestArgumentErrors:
     def test_sample_batch_needs_a_cutoff(self):
-        with pytest.raises(ValueError, match="N must be positive"):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
             sample_batch(0, 3, 0)
 
     def test_sample_batch_negative_count(self):
-        with pytest.raises(ValueError, match="count must be nonnegative"):
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
             sample_batch(4, -1, 0)
 
     def test_tail_sweep_needs_samples(self):
-        with pytest.raises(ValueError, match="samples must be positive"):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
             tail_sweep(NormSpec(-0.49, 2.1, INF), 8, [1.0], 0, 1)
 
     def test_tail_sweep_needs_a_cutoff(self):
-        with pytest.raises(ValueError, match="N must be positive"):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
             tail_sweep(NormSpec(-0.49, 2.1, INF), 0, [1.0], 10, 1)
 
     @pytest.mark.parametrize(
@@ -167,6 +167,17 @@ class TestArgumentErrors:
             (lambda: sample_batch(4, 3.0, 0), "count"),
             (lambda: sample_batch(4, 3, 0.5), "seed"),
             (lambda: decay_median_curve([4], 0.2, 2.0), "n_seeds"),
+            # these raised TypeError from the power-of-two test
+            (lambda: decay_median_curve([8.0], 0.2, 2), "M"),
+            (lambda: decay_ratio(8.0, 0.2, 1), "M"),
+            (lambda: decay_median_curve([4], 0.2, 2, seed0=0.5), "seed"),
+            (lambda: sample_batch(4, 3, 0, stream_start=1.0), "stream"),
+            # accepted, and failed only later in sample_batch
+            (lambda: GaussianSampleSpec(8.5, 1), "N"),
+            (lambda: GaussianSampleSpec(8, 1.5), "seed"),
+            (lambda: GaussianSampleSpec(8, 1, 2.0), "stream"),
+            (lambda: GaussianSampleSpec(0, 1), "N"),
+            (lambda: GaussianSampleSpec(8, -1), "seed"),
         ],
     )
     def test_sizes_must_be_integers(self, call, name):
@@ -180,6 +191,12 @@ class TestArgumentErrors:
         assert type(rows[0]["samples"]) is int
         got = sample_batch(np.int64(4), np.int64(3), np.int64(0))
         assert got.tobytes() == sample_batch(4, 3, 0).tobytes()
+        want = sample(GaussianSampleSpec(8, 42, 1)).coeffs.tobytes()
+        spec = GaussianSampleSpec(np.int64(8), np.int64(42), np.int64(1))
+        assert sample(spec).coeffs.tobytes() == want
+        curve = decay_median_curve([np.int64(8)], 0.2, np.int64(3), np.int64(2))
+        assert curve == decay_median_curve([8], 0.2, 3, 2)
+        assert decay_ratio(np.int64(8), 0.2, np.int64(1)) == decay_ratio(8, 0.2, 1)
 
 
 class TestTailStream:
@@ -367,6 +384,26 @@ class TestTails:
         with pytest.raises(ValueError):
             fit_log_tail(rows)
 
+    @pytest.mark.parametrize("Ks", [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+    def test_fit_needs_two_distinct_k(self, Ks):
+        # three uncensored rows at one K^2 divided by sxx = 0: NaN slope and CI
+        rows = tail_sweep(NormSpec(-0.49, 2.1, INF), 8, Ks, 100, 5)
+        assert not any(r["censored"] for r in rows)
+        with pytest.raises(ValueError, match="at least 2 distinct K"):
+            fit_log_tail(rows)
+
+    def test_fit_needs_finite_k(self):
+        rows = tail_sweep(NormSpec(-0.49, 2.1, INF), 8, [0.5, 1.0, 1.5], 100, 5)
+        rows[0] = rows[0] | {"K": -INF}
+        with pytest.raises(ValueError, match="finite K"):
+            fit_log_tail(rows)
+
+    @pytest.mark.parametrize("K", [math.nan, INF, -INF])
+    def test_sweep_needs_finite_k(self, K):
+        # K = nan gave a censored row with K = nan
+        with pytest.raises(ValueError, match="every K must be finite"):
+            tail_sweep(NormSpec(-0.49, 2.1, INF), 8, [1.0, K], 10, 1)
+
 
 class TestDecayRatio:
     def test_single_element_block(self):
@@ -401,7 +438,7 @@ class TestDecayRatio:
     @pytest.mark.parametrize("n_seeds", [0, -1])
     def test_median_curve_needs_a_seed(self, n_seeds):
         # n_seeds = 0 gave [nan] and numpy's "Mean of empty slice" warning
-        with pytest.raises(ValueError, match="n_seeds must be positive"):
+        with pytest.raises(ValueError, match="n_seeds must be an integer >= 1"):
             decay_median_curve([4], 0.2, n_seeds)
 
     def test_median_curve_blocks_bounded_in_values(self):

@@ -1,6 +1,7 @@
 """The shared worker pool's one dealing rule: pool._deal and pool._spread."""
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -9,7 +10,12 @@ from kdvnoise.estimates import WeightParams, bilinear_ratio_sweep
 
 
 def tagged(part, tag):
-    """Each item of part with the tag and the pid of the process that ran it."""
+    """Each item of part with the tag and the pid of the process that ran it.
+
+    A part takes 0.1 s, so a worker holds its part while the other workers
+    take theirs; an instant part let one worker take two parts.
+    """
+    time.sleep(0.1)
     return [(item, tag, os.getpid()) for item in part]
 
 

@@ -1,11 +1,14 @@
 """Field representation, convolution, and static norm tests."""
 import ast
+import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import oracles
+from kdvnoise import spectral
 from kdvnoise.spectral import (
     FourierField,
     NormSpec,
@@ -57,9 +60,29 @@ class TestFourierField:
         with pytest.raises(ValueError):
             FourierField(3, [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: FourierField(2.0, [1.0, 2.0]),
+            lambda: FourierField(0, []),
+            # these raised numpy's TypeError
+            lambda: FourierField.zeros(8.5),
+            lambda: FourierField.from_pairs(2.0, {1: 1.0}),
+        ],
+    )
+    def test_cutoff_must_be_an_integer(self, call):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            call()
+
+    def test_numpy_integer_cutoff(self):
+        f = FourierField(np.int64(2), [1.0, 2.0])
+        assert type(f.N) is int and f.N == 2
+        assert FourierField.zeros(np.int64(3)).N == 3
+
     def test_zeros(self):
         f = FourierField.zeros(4)
         assert np.all(f.coeffs == 0)
+        assert f.coeffs.dtype == np.complex128
 
     def test_immutable(self):
         f = FourierField(2, [1.0, 2.0])
@@ -232,6 +255,41 @@ class TestGridValues:
     def test_real_output(self):
         f = random_field(5, 31)
         assert grid_values(f, 64).dtype.kind == "f"
+
+    @pytest.mark.parametrize("M", [10.0, 32.0, 12, 2])
+    def test_grid_length_must_be_an_integer_above_2n_plus_1(self, M):
+        # 10.0 and 32.0 raised numpy's TypeError
+        with pytest.raises(ValueError, match="M must be an integer >= 14"):
+            grid_values(random_field(6, 30), M)
+
+    def test_odd_grid_length_rejected(self):
+        with pytest.raises(ValueError, match="must be even"):
+            grid_values(random_field(6, 30), 33)
+
+    def test_numpy_integer_grid_length(self):
+        f = random_field(6, 30)
+        assert grid_values(f, np.int64(32)).tobytes() == grid_values(f, 32).tobytes()
+
+
+def test_one_integer_rule():
+    # every integer argument goes through spectral._integer, the one place
+    # that calls operator.index
+    package = pathlib.Path(spectral.__file__).parent
+    counts = {p.name: p.read_text(encoding="utf-8").count("operator.index") for p in package.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"spectral.py": 1}
+    assert "operator.index" in inspect.getsource(spectral._integer)
+
+
+@pytest.mark.parametrize("x, low", [(3, 3), (np.int64(7), 0), (True, 1), (-2, -5)])
+def test_integer_accepts(x, low):
+    got = spectral._integer(x, "n", low)
+    assert type(got) is int and got == x
+
+
+@pytest.mark.parametrize("x", [2, 2.0, 3.5, "3", None, np.float64(3.0), [3]])
+def test_integer_refuses(x):
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 3, got .+$"):
+        spectral._integer(x, "n", 3)
 
 
 def test_oracles_share_no_code_with_the_library():
