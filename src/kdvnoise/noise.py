@@ -258,8 +258,8 @@ def tail_sweep(norm_spec, N, Ks, samples, seed):
     its blocks as they are drawn, so it holds one block and its blocks'
     norms however large samples is.
     """
-    N, seed = _integer(N, "N", 1), _integer(seed, "seed", 0)
-    samples = _integer(samples, "samples", 1)
+    N, samples = _integer(N, "N", 1), _integer(samples, "samples", 1)
+    seed = _integer(seed, "seed", 0)
     Ks = [float(K) for K in Ks]
     if not all(map(math.isfinite, Ks)):
         raise ValueError(f"every K must be finite, got {Ks}")

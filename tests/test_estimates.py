@@ -457,15 +457,16 @@ class TestRatioSweep:
     @pytest.mark.parametrize(
         "change, match",
         [
-            ({"N_list": [0]}, "N must be an integer >= 2"),
-            ({"N_list": [1]}, "N must be an integer >= 2"),
-            ({"N_list": [8, 1]}, "N must be an integer >= 2"),
+            # the ids keep the rule each case was first written for
+            pytest.param({"N_list": [0]}, "N must be an integer >= 2", id="change0-N >= 2"),
+            pytest.param({"N_list": [1]}, "N must be an integer >= 2", id="change1-N >= 2"),
+            pytest.param({"N_list": [8, 1]}, "N must be an integer >= 2", id="change2-N >= 2"),
             ({"p": 0.5}, "p >= 1"),
-            ({"trials": -3}, "trials must be an integer >= 0"),
+            pytest.param({"trials": -3}, "trials must be an integer >= 0", id="change4-trials >= 0"),
             # these raised IndexError from the row map and TypeError from range
-            ({"N_list": [8.0]}, "N must be an integer >= 2"),
-            ({"N_list": [16, 8.5]}, "N must be an integer >= 2"),
-            ({"trials": 2.5}, "trials must be an integer >= 0"),
+            pytest.param({"N_list": [8.0]}, "N must be an integer >= 2", id="change5-integer N"),
+            pytest.param({"N_list": [16, 8.5]}, "N must be an integer >= 2", id="change6-integer N"),
+            pytest.param({"trials": 2.5}, "trials must be an integer >= 0", id="change7-integer trials"),
             # these raised numpy's "seed must be integer" and "expected non-negative integer"
             ({"seed": 1.5}, "seed must be an integer >= 0"),
             ({"seed": -1}, "seed must be an integer >= 0"),

@@ -168,16 +168,16 @@ class TestArgumentErrors:
             (lambda: sample_batch(4, 3, 0.5), "seed"),
             (lambda: decay_median_curve([4], 0.2, 2.0), "n_seeds"),
             # these raised TypeError from the power-of-two test
-            (lambda: decay_median_curve([8.0], 0.2, 2), "M"),
-            (lambda: decay_ratio(8.0, 0.2, 1), "M"),
-            (lambda: decay_median_curve([4], 0.2, 2, seed0=0.5), "seed"),
-            (lambda: sample_batch(4, 3, 0, stream_start=1.0), "stream"),
+            pytest.param(lambda: decay_median_curve([8.0], 0.2, 2), "M", id="curve-M"),
+            pytest.param(lambda: decay_ratio(8.0, 0.2, 1), "M", id="ratio-M"),
+            pytest.param(lambda: decay_median_curve([4], 0.2, 2, seed0=0.5), "seed", id="curve-seed"),
+            pytest.param(lambda: sample_batch(4, 3, 0, stream_start=1.0), "stream", id="stream"),
             # accepted, and failed only later in sample_batch
-            (lambda: GaussianSampleSpec(8.5, 1), "N"),
-            (lambda: GaussianSampleSpec(8, 1.5), "seed"),
-            (lambda: GaussianSampleSpec(8, 1, 2.0), "stream"),
-            (lambda: GaussianSampleSpec(0, 1), "N"),
-            (lambda: GaussianSampleSpec(8, -1), "seed"),
+            pytest.param(lambda: GaussianSampleSpec(8.5, 1), "N", id="spec-N"),
+            pytest.param(lambda: GaussianSampleSpec(8, 1.5), "seed", id="spec-seed"),
+            pytest.param(lambda: GaussianSampleSpec(8, 1, 2.0), "stream", id="spec-stream"),
+            pytest.param(lambda: GaussianSampleSpec(0, 1), "N", id="spec-N-below-1"),
+            pytest.param(lambda: GaussianSampleSpec(8, -1), "seed", id="spec-seed-below-0"),
         ],
     )
     def test_sizes_must_be_integers(self, call, name):
