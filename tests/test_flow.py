@@ -528,11 +528,25 @@ class TestWorkerPool:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert len(worker_pids()) == 2
 
-    def test_run_bounded_by_its_workers(self, run_threads):
+    def test_run_bounded_by_its_workers(self, run_threads, monkeypatch):
         # a 2-worker run of five chunks sends chunks 1 and 3 to one worker
         # as one task, so it takes 2 processes even from the 2-worker pool
         # that a 3-worker run left behind
         rows = sample_batch(16, 2100, 41)
+        # a free worker takes any queued task, so a worker that ends its
+        # first task before the other starts can take both of the 3-worker
+        # run's tasks; each worker's first chunk waits for the other's, so
+        # that run's tasks land on both workers
+        caller, chunk = os.getpid(), flow._rk4_chunk
+        meet, met = multiprocessing.Barrier(2), []
+
+        def gated(*args):
+            if os.getpid() != caller and not met:
+                met.append(True)
+                meet.wait(timeout=60)
+            return chunk(*args)
+
+        monkeypatch.setattr(flow, "_rk4_chunk", gated)
         want = evolve_batch(rows, self.CFG, workers=1)
         assert np.array_equal(evolve_batch(rows, self.CFG, workers=3), want)
         assert len(worker_pids()) == 2
