@@ -29,16 +29,18 @@ member by member. On the dense route a step is 18 array calls.
 
 Each batch run (_run_batch) cuts its rows into fixed 512-row chunks, the
 flow's one unit of work, and deals them, costed by their rows, over the
-package's shared worker pool as kdvnoise.pool describes. The workers are
-processes, not threads: a step is 18 numpy calls, and two threads hand the
-GIL back and forth at each (CHANGES.md and BENCH_23.json's workers_table
-hold the measurement). Every chunk, in the caller or in a worker, holds the
-OpenBLAS that numpy bundles at one thread and gives its process's thread
-count back when it ends: the pool's processes are the package's only
-parallelism, so BLAS threads would only oversubscribe the cores, and one
-thread fixes the products' summation order, so results are bit-exact across
-BLAS settings and worker counts. Without that library's thread control the
-runs leave BLAS as they find it, and _run_blas_threads says so.
+package's shared worker pool as kdvnoise.pool describes: the caller runs one
+part and writes each other part down a forked worker's pipe. The workers
+are processes, not threads: a step is 18 numpy calls, and two threads hand
+the GIL back and forth at each (CHANGES.md and BENCH_23.json's
+workers_table hold the measurement). Every chunk, in the caller or in a
+worker, holds the OpenBLAS that numpy bundles at one thread and gives its
+process's thread count back when it ends: the pool's processes are the
+package's only parallelism, so BLAS threads would only oversubscribe the
+cores, and one thread fixes the products' summation order, so results are
+bit-exact across BLAS settings and worker counts. Without that library's
+thread control the runs leave BLAS as they find it, and _run_blas_threads
+says so.
 
 Two kernels evaluate G_c, picked by N alone. Up to _DENSE_MAX_N = 64 they
 are two dense real DFT products with the phases folded into the tables, on
@@ -233,6 +235,19 @@ def _fft_rows(rows, out, tables, buf):
     return out
 
 
+def _line_empty(shape):
+    """np.empty(shape) of floats whose data starts on a 64-byte line.
+
+    The chunk's buffers otherwise start wherever the heap's history puts
+    them, and the bench's one-row and 32-row chunks ran 5-8% slower off a
+    64-byte line (CHANGES.md).
+    """
+    size = int(np.prod(shape))
+    raw = np.empty(size + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + size].reshape(shape)
+
+
 class _Kernels:
     """The kernels x -> scale conj(ph) F(ph x) at cutoff N, one per (ph, scale).
 
@@ -258,7 +273,7 @@ class _Kernels:
         The kernels share one grid buffer, so they run one at a time.
         """
         if self.dense:
-            kernel, buf = _dense_rows, np.empty((count, self.M))
+            kernel, buf = _dense_rows, _line_empty((count, self.M))
         else:
             kernel, buf = _fft_rows, np.zeros((count, self.M // 2 + 1), dtype=np.complex128)
         return [functools.partial(kernel, tables=t, buf=buf) for t in self.tables]
@@ -375,9 +390,9 @@ def _rk4_chunk(rows, kernels, dt, nsteps, t0, first):
     ph_f = kernels.phases[2]
     # the stack's order puts each weighted sum's rows next to each other;
     # only the phase that ends a step reads the rows as complex
-    stack = np.empty((5, count * 2 * N))
+    stack = _line_empty((5, count * 2 * N))
     k3, k1, a, k2, k4 = stack.reshape(5, count, 2 * N)
-    x = np.empty(count * 2 * N)
+    x = _line_empty((count * 2 * N,))
     xs, xc = x.reshape(count, 2 * N), x.view(np.complex128).reshape(count, N)
     ac, flat = a.view(np.complex128), stack[2]
     ac[...] = rows

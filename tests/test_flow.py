@@ -615,6 +615,62 @@ class TestWorkerPool:
         with pytest.raises(ProcessLookupError):
             os.kill(pids[0], 0)
 
+    def test_workers_exit_with_a_killed_caller_of_three(self):
+        # each worker sees EOF once the caller is gone only if the later
+        # worker closed its copy of the earlier one's caller end
+        script = (
+            "import json, multiprocessing, time\n"
+            "from kdvnoise.flow import FlowConfig, evolve_batch\n"
+            "from kdvnoise.noise import sample_batch\n"
+            "evolve_batch(sample_batch(16, 1100, 39), FlowConfig(dt=2.0**-12, T=2.0**-12), workers=3)\n"
+            "print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            pids = json.loads(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.communicate(timeout=60)
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        deadline = time.monotonic() + 30
+        while any(map(alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(alive, pids))
+
+    def test_runs_start_no_thread(self):
+        # the caller writes and reads its workers' pipes itself: a run leaves
+        # the thread count as it was and never loads concurrent.futures.process
+        script = (
+            "import json, multiprocessing, sys, threading\n"
+            "from kdvnoise.flow import FlowConfig, evolve_batch\n"
+            "from kdvnoise.noise import sample_batch\n"
+            "before = threading.active_count()\n"
+            "evolve_batch(sample_batch(16, 1100, 43), FlowConfig(dt=2.0**-12, T=2.0**-12), workers=2)\n"
+            "print(json.dumps([before, threading.active_count(), len(multiprocessing.active_children()),\n"
+            "                  'concurrent.futures.process' in sys.modules]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after, workers, loaded = json.loads(proc.stdout)
+        assert workers == 1
+        assert after == before
+        assert not loaded
+
 
 # SHA-256 of evolve_batch on 1100 rows (three chunks) for workers 1 and 2,
 # printed as JSON by a fresh interpreter whose BLAS thread count is set

@@ -1,6 +1,8 @@
 """The shared worker pool's one dealing rule: pool._deal and pool._spread."""
+import contextlib
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -17,6 +19,36 @@ def tagged(part, tag):
     """
     time.sleep(0.1)
     return [(item, tag, os.getpid()) for item in part]
+
+
+def doubled(part, caller, seconds):
+    """Each item of part doubled; a worker first sleeps for seconds."""
+    if os.getpid() != caller:
+        time.sleep(seconds)
+    return [2 * item for item in part]
+
+
+def nested(part, caller, workers):
+    """tagged(part, "outer") in a worker; in the caller, a run of tagged over
+    part with the tag "inner" and workers nested in this one."""
+    if os.getpid() != caller:
+        return tagged(part, "outer")
+    return pool._spread(tagged, part, [1] * len(part), ("inner",), workers)
+
+
+@contextlib.contextmanager
+def alarm(seconds, exc):
+    """Raise exc in the main thread after seconds, unless the body ends first."""
+    def ring(signum, frame):
+        raise exc
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestDeal:
@@ -73,3 +105,32 @@ class TestSpread:
             got = pool._spread(tagged, items, [1] * len(items), ("t",), workers)
             assert got == [(item, "t", os.getpid()) for item in items]
         assert multiprocessing.active_children() == []
+
+    def test_interrupted_wait_closes_its_worker(self, fresh_pool):
+        # an interrupt while the caller waits for a reply closes that worker,
+        # so the next run never reads the reply the interrupted run left
+        caller, items = os.getpid(), list(range(5))
+        want = pool._spread(doubled, items, [1] * 5, (caller, 0), 1)
+        assert pool._spread(doubled, items, [1] * 5, (caller, 0), 2) == want
+        (pid,) = [p.pid for p in multiprocessing.active_children()]
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            with alarm(0.5, KeyboardInterrupt):
+                pool._spread(doubled, [0, 1], [1, 1], (caller, 30), 2)
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+        assert pool._spread(doubled, items, [1] * 5, (caller, 0), 2) == want
+        (new,) = [p.pid for p in multiprocessing.active_children()]
+        assert new != pid
+
+    @pytest.mark.parametrize("inner", [2, 3])
+    def test_nested_run_in_item_order(self, fresh_pool, inner):
+        # a run inside the caller's part takes only idle workers, forking
+        # past the pool only for a larger request, so it never waits for
+        # the workers of the run around it
+        items = list(range(9))
+        with alarm(60, TimeoutError):
+            got = pool._spread(nested, items, [1] * 9, (os.getpid(), inner), 2)
+        assert [item for item, _, _ in got] == items
+        assert {tag for _, tag, _ in got} == {"inner", "outer"}
+        assert len(multiprocessing.active_children()) == inner - 1
