@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .pool import _spread
-from .spectral import _block_index, _block_reduce, _integer, bracket
+from .spectral import _block_index, _block_reduce, _integer, _step_multiple, bracket
 
 __all__ = [
     "SpaceTimeCoeffs",
@@ -32,9 +32,7 @@ __all__ = [
     "bump",
     "bump_transform",
     "family_points",
-    "modulation_max_holds",
     "quadratic_bracket_sum",
-    "resonance_residual",
     "resonance_residual_max",
     "resonance_set_integral",
     "resonance_weight",
@@ -47,35 +45,12 @@ __all__ = [
 
 # ---------------------------------------------------------------- resonance
 
-def _residual(n1, n2):
-    n = n1 + n2
-    return n**3 - n1**3 - n2**3 - 3 * n * n1 * n2
-
-
-def resonance_residual(n1, n2):
-    """(n1+n2)^3 - n1^3 - n2^3 - 3(n1+n2)n1n2, exactly, in integers."""
-    return _residual(int(n1), int(n2))
-
-
 def resonance_residual_max(bound):
-    """Max |residual| over the full integer square |n1|,|n2| <= bound."""
+    """Max |(n1+n2)^3 - n1^3 - n2^3 - 3(n1+n2)n1n2| over |n1|,|n2| <= bound, in integers."""
     bound = _integer(bound, "bound", 0)
-    k = np.arange(-bound, bound + 1, dtype=np.int64)
-    return int(np.abs(_residual(k[:, None], k[None, :])).max())
-
-
-def modulation_max_holds(n1, n2, tau1, tau2):
-    """Check max of the three modulations against the resonance size.
-
-    The three quantities tau-n^3, tau1-n1^3, tau2-n2^3 sum (with signs) to
-    -3*n*n1*n2, so the largest bracket is at least a third of <3 n n1 n2>.
-    """
-    if n1 == 0 or n2 == 0 or n1 + n2 == 0:
-        raise ValueError("all three modes must be nonzero")
-    n = n1 + n2
-    tau = tau1 + tau2
-    biggest = max(_modulation(n, tau), _modulation(n1, tau1), _modulation(n2, tau2))
-    return bool(biggest >= bracket(3 * n * n1 * n2) / 3.0)
+    n1 = np.arange(-bound, bound + 1, dtype=np.int64)[:, None]
+    n2, n = n1.T, n1 + n1.T
+    return int(np.abs(n**3 - n1**3 - n2**3 - 3 * n * n1 * n2).max())
 
 
 # ------------------------------------------------------------------- weight
@@ -203,10 +178,12 @@ def _default_tau_max(N):
 
 def _grid_length(tau_max, dtau):
     """Number of tau columns: dtau must divide tau_max, and L = 2 tau_max/dtau + 1."""
-    half = tau_max / dtau
-    if abs(round(half) - half) > 1e-9:
+    if not (tau_max > 0 and dtau > 0):
+        raise ValueError("grid parameters must be positive")
+    half = _step_multiple(tau_max, dtau, 1e-9 * dtau)
+    if half is None:
         raise ValueError("dtau must divide tau_max")
-    return 2 * round(half) + 1
+    return 2 * half + 1
 
 
 def _signed_modes(N):
@@ -235,8 +212,6 @@ class SpaceTimeCoeffs:
 
     def __init__(self, N, tau_max, dtau, values):
         N = _integer(N, "N", 1)
-        if not (tau_max > 0 and dtau > 0):
-            raise ValueError("grid parameters must be positive")
         L = _grid_length(tau_max, dtau)
         arr = np.asarray(values, dtype=np.complex128)
         if arr.shape != (2 * N, L):
@@ -262,9 +237,8 @@ class SpaceTimeCoeffs:
         return _row(n, self.N)
 
     def col(self, tau):
-        idx = (tau + self.tau_max) / self.dtau
-        k = round(idx)
-        if abs(k - idx) > 1e-9 or not 0 <= k < self.L:
+        k = _step_multiple(tau + self.tau_max, self.dtau, 1e-9 * self.dtau)
+        if k is None or not 0 <= k < self.L:
             raise ValueError(f"tau={tau} is off the grid")
         return k
 

@@ -67,7 +67,8 @@ import threading
 import numpy as np
 
 from .pool import _spread
-from .spectral import FourierField, _dealias_length, _hamiltonian_rows, _integer, _l2_rows
+from .spectral import FourierField, _dealias_length, _hamiltonian_rows, _integer, _l2_rows, \
+    _step_multiple
 # hamiltonian stays importable from here: bench/workloads.py traces
 # flow.hamiltonian
 from .spectral import hamiltonian  # noqa: F401
@@ -148,8 +149,7 @@ class FlowConfig:
             raise ValueError("dt must be positive and finite")
         if not np.isfinite(self.T):
             raise ValueError("T must be finite")
-        n = round(abs(self.T) / self.dt)
-        if abs(n * self.dt - abs(self.T)) > 1e-9 * max(1.0, abs(self.T)):
+        if _step_multiple(abs(self.T), self.dt, 1e-9 * max(1.0, abs(self.T))) is None:
             raise ValueError(f"T={self.T} is not an integer multiple of dt={self.dt}")
 
     @property
@@ -505,10 +505,11 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     if not times:
         raise ValueError("times must name at least one checkpoint")
     dt = cfg.dt if cfg.T >= 0 else -cfg.dt
+    tol = 1e-9 * max(1.0, abs(cfg.T))
     idx = []
     for t in times:
-        k = round(t / dt) if cfg.steps > 0 else 0
-        if abs(k * dt - t) > 1e-9 * max(1.0, abs(cfg.T)) or not 0 <= k <= cfg.steps:
+        k = _step_multiple(t, dt, tol) if cfg.steps > 0 else (0 if abs(t) <= tol else None)
+        if k is None or not 0 <= k <= cfg.steps:
             raise ValueError(f"checkpoint {t} is not a step multiple within the run")
         idx.append(k)
     if idx != sorted(idx):

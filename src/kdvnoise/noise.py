@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .pool import _spread
-from .spectral import FourierField, _besov_norm_rows, _integer, l2_mass
+from .spectral import FourierField, _besov_norm_rows, _integer
 # besov_norm_batch stays importable from here: bench/workloads.py traces
 # noise.besov_norm_batch
 from .spectral import besov_norm_batch  # noqa: F401
@@ -40,9 +40,7 @@ from .spectral import besov_norm_batch  # noqa: F401
 __all__ = [
     "GaussianSampleSpec",
     "decay_median_curve",
-    "decay_ratio",
     "fit_log_tail",
-    "log_density_unnormalized",
     "sample",
     "sample_batch",
     "tail_sweep",
@@ -219,11 +217,6 @@ def sample(spec):
     return FourierField(spec.N, sample_batch(spec.N, 1, spec.seed, spec.stream)[0])
 
 
-def log_density_unnormalized(f):
-    """log of the sampling density up to its normalization: -l2_mass/4."""
-    return -l2_mass(f) / 4.0
-
-
 def _wilson(count, n):
     """99% Wilson score interval for a binomial proportion."""
     if n == 0:
@@ -321,20 +314,14 @@ def fit_log_tail(rows):
     }
 
 
-def decay_ratio(M, delta, seed):
-    """Block concentration statistic M^(1-delta) * max|g|^2 / sum|g|^2.
-
-    g runs over one dyadic block {M..2M-1} of independent standard complex
-    Gaussians, the stream M row of seed; M must be a power of two.
-    """
-    return decay_median_curve([M], delta, 1, seed)[0]
-
-
 def decay_median_curve(Ms, delta, n_seeds, seed0=0):
-    """Median of decay_ratio over seeds seed0..seed0+n_seeds-1, per block size.
+    """Median over seeds seed0..seed0+n_seeds-1 of the decay ratio, per block size.
 
-    Each block size M reads the stream M rows of the n_seeds seeds from the
-    sampling loop, block by block.
+    The decay ratio of seed at block size M is the block concentration
+    statistic M^(1-delta) * max|g|^2 / sum|g|^2, where g runs over one dyadic
+    block {M..2M-1} of independent standard complex Gaussians, the stream M
+    row of seed; M must be a power of two. Each block size reads the stream M
+    rows of the n_seeds seeds from the sampling loop, block by block.
     """
     n_seeds, seed0 = _integer(n_seeds, "n_seeds", 1), _integer(seed0, "seed", 0)
     out = []

@@ -21,7 +21,6 @@ __all__ = [
     "besov_norm_batch",
     "convolve",
     "fl_norm",
-    "grid_values",
     "hamiltonian",
     "l2_mass",
 ]
@@ -36,6 +35,15 @@ def _integer(x, name, low):
     if value is None or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
     return value
+
+
+def _step_multiple(x, step, tol):
+    """k = round(x / step) when that ratio is finite and k * step is within tol of x, else None."""
+    ratio = float(x) / float(step)
+    if not math.isfinite(ratio):
+        return None
+    k = round(ratio)
+    return k if abs(k * step - x) <= tol else None
 
 
 def bracket(x):
@@ -162,13 +170,6 @@ def _grid_from_coeffs(coeffs, M):
     buf = np.zeros(coeffs.shape[:-1] + (M // 2 + 1,), dtype=np.complex128)
     buf[..., 1 : N + 1] = coeffs
     return np.fft.irfft(buf, M, axis=-1) * M
-
-
-def grid_values(f, M):
-    """Real-space samples at x_j = 2*pi*j/M for j = 0..M-1; M is even and >= 2N + 2."""
-    if _integer(M, "M", 2 * f.N + 2) % 2 != 0:
-        raise ValueError(f"grid length {M} must be even")
-    return _grid_from_coeffs(f.coeffs, M)
 
 
 def _block_index(n):

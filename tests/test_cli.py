@@ -10,7 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -742,7 +742,7 @@ class TestCmdInvariance:
             tmp_path / "c.ini", "invariance",
             N=8, count=50, seed=2, dt=1e-3, T=0.01, alpha=0.01,
         )
-        for exc in (BrokenProcessPool("a worker process died"), RuntimeError("a run failed")):
+        for exc in (BrokenExecutor("a worker process died"), RuntimeError("a run failed")):
             def broken(*args, exc=exc, **kwargs):
                 raise exc
 
@@ -884,13 +884,13 @@ class TestCmdEstimates:
         assert not out.exists()
 
     def test_broken_sweep_exit_4(self, tmp_path, capsys, monkeypatch):
-        # a dead worker's BrokenProcessPool, or any other RuntimeError
+        # a dead worker's BrokenExecutor, or any other RuntimeError
         cfg = write_ini(
             tmp_path / "c.ini", "estimates",
             s=-0.49, p=2.1, n_list="8,16", trials=4, seed=5, time_loc="false",
         )
         out = tmp_path / "o"
-        for exc in (BrokenProcessPool("a worker process died"), RuntimeError("a sweep failed")):
+        for exc in (BrokenExecutor("a worker process died"), RuntimeError("a sweep failed")):
             def broken(*args, exc=exc, **kwargs):
                 raise exc
 
@@ -945,6 +945,17 @@ class TestReadme:
 
 
 class TestCliGeneral:
+    @pytest.mark.parametrize("cmd", ["evolve", "invariance"])
+    def test_step_count_beyond_float_exit_2(self, tmp_path, capsys, cmd):
+        # T / dt overflows float64: rounding it raised OverflowError, which
+        # printed a traceback and exited 1
+        keys = {"input": write_input(tmp_path, 4, 2, 1)} if cmd == "evolve" else {"N": 4, "count": 2}
+        cfg = write_ini(tmp_path / "c.ini", cmd, dt=1e-320, T=1.0, **keys)
+        out = tmp_path / "o"
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert_one_config_error(capsys)
+        assert not out.exists()
+
     def test_import_loads_no_scipy(self):
         # scipy is imported inside the two oracles that use it, not on import
         src = os.path.dirname(os.path.dirname(kdvnoise.__file__))

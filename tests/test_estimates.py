@@ -25,9 +25,7 @@ from kdvnoise.estimates import (
     bump,
     bump_transform,
     family_points,
-    modulation_max_holds,
     quadratic_bracket_sum,
-    resonance_residual,
     resonance_residual_max,
     resonance_set_integral,
     resonance_weight,
@@ -40,11 +38,6 @@ from kdvnoise.spectral import bracket
 
 
 class TestResonanceIdentity:
-    def test_examples(self):
-        assert resonance_residual(2, 3) == 0
-        assert resonance_residual(-5, 5) == 0
-        assert resonance_residual(7, -11) == 0
-
     def test_exhaustive_small(self):
         assert resonance_residual_max(50) == 0
         assert resonance_residual_max(np.int64(3)) == 0
@@ -54,32 +47,6 @@ class TestResonanceIdentity:
         # 2.5 ran on the grid -2.5, -1.5, ..., 2.5
         with pytest.raises(ValueError, match="bound must be an integer >= 0"):
             resonance_residual_max(bound)
-
-    def test_integer_type(self):
-        assert isinstance(resonance_residual(123456, -654321), int)
-
-
-class TestModulationMax:
-    def test_on_curve_attained(self):
-        for n1, n2 in [(3, 4), (-2, 7), (5, 5)]:
-            assert modulation_max_holds(n1, n2, n1**3, n2**3)
-
-    def test_randomized(self):
-        rng = np.random.default_rng(61)
-        for _ in range(500):
-            n1 = int(rng.integers(-50, 51)) or 1
-            n2 = int(rng.integers(-50, 51)) or 2
-            if n1 + n2 == 0:
-                n2 += 1
-            t1 = float(rng.uniform(-1e5, 1e5))
-            t2 = float(rng.uniform(-1e5, 1e5))
-            assert modulation_max_holds(n1, n2, t1, t2)
-
-    def test_zero_mode_rejected(self):
-        with pytest.raises(ValueError):
-            modulation_max_holds(3, 0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            modulation_max_holds(3, -3, 1.0, 1.0)
 
 
 def _covering_kmax(n, tau, c0):
@@ -235,6 +202,17 @@ class TestSpaceTimeCoeffs:
     def test_grid_divisibility(self):
         with pytest.raises(ValueError):
             SpaceTimeCoeffs.zeros(4, tau_max=10.0, dtau=0.3)
+
+    def test_infinite_or_empty_grid_rejected(self):
+        # the first two raised OverflowError from rounding an infinite ratio,
+        # dtau = 0 ZeroDivisionError
+        with pytest.raises(ValueError, match="dtau must divide tau_max"):
+            SpaceTimeCoeffs.zeros(2, tau_max=float("inf"))
+        for tau in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="off the grid"):
+                SpaceTimeCoeffs.zeros(2).col(tau)
+        with pytest.raises(ValueError, match="grid parameters must be positive"):
+            SpaceTimeCoeffs.zeros(2, dtau=0.0)
 
     def test_from_points_and_row_order(self):
         f = SpaceTimeCoeffs.from_points(4, {(2, 8.0): 3.0, (-1, -0.5): 1j}, tau_max=16.0, dtau=0.5)

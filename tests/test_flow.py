@@ -71,6 +71,11 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             FlowConfig(dt=0.3, T=1.0)
 
+    def test_rejects_step_count_beyond_float(self):
+        # T / dt is infinite; rounding it raised OverflowError
+        with pytest.raises(ValueError, match="not an integer multiple"):
+            FlowConfig(dt=1e-320, T=1.0)
+
     def test_step_count(self):
         cfg = FlowConfig(dt=0.25, T=1.0)
         assert cfg.steps == 4
@@ -467,6 +472,15 @@ class TestEvolve:
         assert [t for t, _ in states] == [0.0, 0.0]
         assert all(out.tobytes() == rows.tobytes() for _, out in states)
         assert builds == []
+
+    @pytest.mark.parametrize("T", [0.05, 0.0])
+    def test_non_finite_checkpoints_rejected(self, T):
+        # inf raised OverflowError from rounding t / dt, and at T = 0 a NaN
+        # checkpoint was accepted
+        cfg = FlowConfig(dt=1e-3, T=T)
+        for t in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="not a step multiple"):
+                evolve_checkpoints(wn(8, 13).coeffs[None, :], cfg, [t])
 
     def test_empty_times_rejected(self):
         f = wn(8, 13)

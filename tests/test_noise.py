@@ -15,14 +15,12 @@ from kdvnoise.noise import (
     GaussianSampleSpec,
     _wilson,
     decay_median_curve,
-    decay_ratio,
     fit_log_tail,
-    log_density_unnormalized,
     sample,
     sample_batch,
     tail_sweep,
 )
-from kdvnoise.spectral import FourierField, NormSpec, besov_norm_batch, l2_mass
+from kdvnoise.spectral import NormSpec, besov_norm_batch
 
 INF = math.inf
 
@@ -108,7 +106,7 @@ class TestStreamExactness:
     @pytest.mark.parametrize("M", [1, 16, 1024])
     def test_decay_ratio_is_the_stream_m_row(self, M):
         mags = np.abs(oracles.gaussian_rows(M, 1, 9, M)[0]) ** 2
-        assert decay_ratio(M, 0.3, 9) == float(M**0.7 * mags.max() / mags.sum())
+        assert decay_median_curve([M], 0.3, 1, 9)[0] == float(M**0.7 * mags.max() / mags.sum())
 
     @pytest.mark.parametrize("seed0", [0, 2**32 - 3, 2**64 - 2])
     def test_seed_range_rows(self, seed0):
@@ -169,7 +167,7 @@ class TestArgumentErrors:
             (lambda: decay_median_curve([4], 0.2, 2.0), "n_seeds"),
             # these raised TypeError from the power-of-two test
             pytest.param(lambda: decay_median_curve([8.0], 0.2, 2), "M", id="curve-M"),
-            pytest.param(lambda: decay_ratio(8.0, 0.2, 1), "M", id="ratio-M"),
+            pytest.param(lambda: decay_median_curve([8.0], 0.2, 1, 1), "M", id="ratio-M"),
             pytest.param(lambda: decay_median_curve([4], 0.2, 2, seed0=0.5), "seed", id="curve-seed"),
             pytest.param(lambda: sample_batch(4, 3, 0, stream_start=1.0), "stream", id="stream"),
             # accepted, and failed only later in sample_batch
@@ -196,7 +194,7 @@ class TestArgumentErrors:
         assert sample(spec).coeffs.tobytes() == want
         curve = decay_median_curve([np.int64(8)], 0.2, np.int64(3), np.int64(2))
         assert curve == decay_median_curve([8], 0.2, 3, 2)
-        assert decay_ratio(np.int64(8), 0.2, np.int64(1)) == decay_ratio(8, 0.2, 1)
+        assert decay_median_curve([np.int64(8)], 0.2, 1, np.int64(1)) == decay_median_curve([8], 0.2, 1, 1)
 
 
 class TestTailStream:
@@ -328,20 +326,6 @@ class TestTailSplit:
             tail_sweep(self.SPEC, 256, [1.0], 1100, 27)
 
 
-class TestLogDensity:
-    def test_zero(self):
-        assert log_density_unnormalized(FourierField.zeros(4)) == 0.0
-
-    def test_single_pair(self):
-        a = 1.5 - 0.5j
-        f = FourierField.from_pairs(3, {1: a})
-        assert log_density_unnormalized(f) == pytest.approx(-abs(a) ** 2 / 2)
-
-    def test_matches_l2_mass(self):
-        f = sample(GaussianSampleSpec(16, 3, 0))
-        assert log_density_unnormalized(f) == pytest.approx(-l2_mass(f) / 4.0, rel=1e-13)
-
-
 class TestTails:
     def test_k_zero(self):
         (row,) = tail_sweep(NormSpec(-0.49, 2.1, INF), 8, [0.0], 200, 1)
@@ -408,27 +392,30 @@ class TestTails:
 class TestDecayRatio:
     def test_single_element_block(self):
         # block at M=1 is {1}; max equals sum
-        assert decay_ratio(1, 0.3, 7) == 1.0
+        assert decay_median_curve([1], 0.3, 1, 7)[0] == 1.0
 
     def test_delta_one_bounded(self):
         for seed in range(10):
-            assert decay_ratio(64, 1.0, seed) <= 1.0
+            assert decay_median_curve([64], 1.0, 1, seed)[0] <= 1.0
 
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
-            decay_ratio(12, 0.5, 1)
+            decay_median_curve([12], 0.5, 1, 1)
         with pytest.raises(ValueError):
-            decay_ratio(0, 0.5, 1)
+            decay_median_curve([0], 0.5, 1, 1)
 
     def test_determinism(self):
-        assert decay_ratio(16, 0.5, 3) == decay_ratio(16, 0.5, 3)
+        assert decay_median_curve([16], 0.5, 1, 3) == decay_median_curve([16], 0.5, 1, 3)
 
     @pytest.mark.parametrize("seed0", [0, 2**32 - 2])
     def test_median_curve_is_median_of_ratios(self, seed0):
         # bit for bit; at M = 2^13 and 2^17 the 20 seeds take several draw
         # blocks, at 2^17 one row each
         Ms = [1, 2, 64, 2**13, 2**17]
-        want = [float(np.median([decay_ratio(M, 0.2, seed0 + k) for k in range(20)])) for M in Ms]
+        want = [
+            float(np.median([decay_median_curve([M], 0.2, 1, seed0 + k)[0] for k in range(20)]))
+            for M in Ms
+        ]
         assert decay_median_curve(Ms, 0.2, 20, seed0) == want
         with pytest.raises(ValueError):
             decay_median_curve([4, 12], 0.2, 20)
