@@ -54,6 +54,12 @@ BLAS through np.dot..." have the timings).
 Every product goes through np.dot, which gives np.matmul's bytes, for one
 code path: it is faster on one-row steps and slower on 512-row chunks
 (BENCH_22.json's single_entry_point has the pairs).
+
+Every array the flow makes for a step starts on a 64-byte line: the cached
+tables and phases, the weight vectors and each chunk's grid buffer, stage
+stack and stage input all come from _line_empty (only the FFT pair's own
+outputs are numpy's). The layout moves no byte of any result; it keeps a
+step's speed from following the heap's history.
 """
 from __future__ import annotations
 
@@ -95,13 +101,41 @@ _BLOWUP_SCREEN = (_BLOWUP_LIMIT / 2) ** 2
 _CHUNK_ROWS = 512  # fixed so worker count never changes the arithmetic
 _DENSE_MAX_N = 64  # largest cutoff whose quadratic term uses the dense route
 _FD_EPS = 1e-4  # central-difference step of the Liouville probes
+# a run's length and its checkpoints are step multiples to within this
+# fraction of the step
+_STEP_TOL = 1e-6
 _TABLE_SETS = 8  # (N, dt) table sets kept per cache: at most 1.2 MB each
+
+
+def _line_empty(shape, dtype=np.float64):
+    """np.empty(shape, dtype) whose data starts on a 64-byte line.
+
+    The flow's one layout rule: every table, phase, weight vector and buffer
+    that a step reads is made here or by _line_copy. Otherwise they start
+    wherever the heap's history puts them, and a one-row N=64 chunk ran
+    1.2-1.5x slower with its tables 16, 32 or 48 bytes off a line (README
+    has the table).
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+
+def _line_copy(a):
+    """A copy of the small array a on a 64-byte line."""
+    out = _line_empty(a.shape, a.dtype)
+    out[...] = a
+    return out
+
+
 # weights over the stage stack [k3, k1, a, k2, k4]: the inputs of stages 2, 3
 # and 4 from rows 1:3, 2:4 and 0:3, and the step's sum from all five
-_W_K1 = np.array([3.0, 1.0])
-_W_K2 = np.array([1.0, 1.5])
-_W_K3 = np.array([3.0, 0.0, 1.0])
-_W_STEP = np.ones(5)
+_W_K1 = _line_copy(np.array([3.0, 1.0]))
+_W_K2 = _line_copy(np.array([1.0, 1.5]))
+_W_K3 = _line_copy(np.array([3.0, 0.0, 1.0]))
+_W_STEP = _line_copy(np.ones(5))
 
 
 class IntegratorBlowupError(RuntimeError):
@@ -139,7 +173,10 @@ class FDProbeError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class FlowConfig:
-    """Evolution parameters; T < 0 runs the reversed flow."""
+    """Evolution parameters; T < 0 runs the reversed flow.
+
+    |T| must be a multiple of dt to within _STEP_TOL dt.
+    """
 
     dt: float
     T: float
@@ -149,7 +186,7 @@ class FlowConfig:
             raise ValueError("dt must be positive and finite")
         if not np.isfinite(self.T):
             raise ValueError("T must be finite")
-        if _step_multiple(abs(self.T), self.dt, 1e-9 * max(1.0, abs(self.T))) is None:
+        if _step_multiple(abs(self.T), self.dt, _STEP_TOL * self.dt) is None:
             raise ValueError(f"T={self.T} is not an integer multiple of dt={self.dt}")
 
     @property
@@ -187,9 +224,15 @@ def _dense_tables(N, M, ph, scale):
     sin = np.choose(quad, [s, c, -s, -c])[k]
     pc, ps = ph.real[:, None], ph.imag[:, None]
     cos, sin = pc * cos - ps * sin, ps * cos + pc * sin
-    C = np.stack([2.0 * cos, -2.0 * sin], axis=1).reshape(2 * N, M)
+    # both tables are written in place on their lines, not built and copied:
+    # a copy would hold two of each at once
+    C = _line_empty((2 * N, M))
+    np.multiply(2.0, cos, out=C[0::2])
+    np.multiply(-2.0, sin, out=C[1::2])
     w = n[:, None] / (2.0 * M)
-    D = np.stack([-w * sin, -w * cos], axis=1).reshape(2 * N, M).T.copy()
+    D = _line_empty((M, 2 * N))
+    np.multiply(-w, sin, out=D[:, 0::2].T)
+    np.multiply(-w, cos, out=D[:, 1::2].T)
     D *= scale
     return C, D
 
@@ -215,7 +258,9 @@ def _fft_tables(N, M, ph, scale):
     the grid values and the 1/M of the forward transform, both exact powers
     of two, fold into it.
     """
-    return ph, -0.5j * M * np.arange(1, N + 1) * np.conj(ph) * scale
+    factor = _line_empty(N, np.complex128)
+    np.multiply(-0.5j * M * np.arange(1, N + 1) * np.conj(ph), scale, out=factor)
+    return ph, factor
 
 
 def _fft_rows(rows, out, tables, buf):
@@ -235,36 +280,23 @@ def _fft_rows(rows, out, tables, buf):
     return out
 
 
-def _line_empty(shape):
-    """np.empty(shape) of floats whose data starts on a 64-byte line.
-
-    The chunk's buffers otherwise start wherever the heap's history puts
-    them, and the bench's one-row and 32-row chunks ran 5-8% slower off a
-    64-byte line (CHANGES.md).
-    """
-    size = int(np.prod(shape))
-    raw = np.empty(size + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start : start + size].reshape(shape)
-
-
 class _Kernels:
     """The kernels x -> scale conj(ph) F(ph x) at cutoff N, one per (ph, scale).
 
     F is the quadratic term -(in/2)(u^2)^(n). Up to _DENSE_MAX_N it is
     _dense_rows on the _dense_length(N) grid, above it _fft_rows on the
-    _dealias_length(N) grid. The phases and tables are made here, once, and
-    made read-only, so every chunk of every run that holds them shares them;
-    bind gives a chunk its own grid buffer.
+    _dealias_length(N) grid. The phases and tables are made here, once, on
+    64-byte lines, and made read-only, so every chunk of every run that holds
+    them shares them; bind gives a chunk its own grid buffer.
     """
 
     def __init__(self, N, phases, scales):
-        self.phases = phases
+        self.phases = [_line_copy(ph) for ph in phases]
         self.dense = N <= _DENSE_MAX_N
         self.M = _dense_length(N) if self.dense else _dealias_length(N)
         make = _dense_tables if self.dense else _fft_tables
-        self.tables = [make(N, self.M, ph, s) for ph, s in zip(phases, scales)]
-        for arr in [*phases, *(t for ts in self.tables for t in ts)]:
+        self.tables = [make(N, self.M, ph, s) for ph, s in zip(self.phases, scales)]
+        for arr in [*self.phases, *(t for ts in self.tables for t in ts)]:
             arr.flags.writeable = False
 
     def bind(self, count):
@@ -275,7 +307,8 @@ class _Kernels:
         if self.dense:
             kernel, buf = _dense_rows, _line_empty((count, self.M))
         else:
-            kernel, buf = _fft_rows, np.zeros((count, self.M // 2 + 1), dtype=np.complex128)
+            kernel, buf = _fft_rows, _line_empty((count, self.M // 2 + 1), np.complex128)
+            buf[...] = 0.0
         return [functools.partial(kernel, tables=t, buf=buf) for t in self.tables]
 
 
@@ -447,8 +480,8 @@ def _run_chunk(first, rows, dt, nsteps, t0):
             final = _rk4_chunk(rows, _stage_kernels(rows.shape[1], dt), dt, nsteps, t0, first)
         except IntegratorBlowupError as exc:
             return exc
-    # a copy frees the stage stack with this call: with the view kept alive, the
-    # bench's one-row trajectory workload ran ~5% slower (2-core host)
+    # a copy lets the stage stack, five times the chunk's rows, go with this
+    # call; the view would keep every chunk's stack alive until the run ends
     return final.copy()
 
 
@@ -505,7 +538,7 @@ def evolve_checkpoints(coeffs, cfg, times, workers=None):
     if not times:
         raise ValueError("times must name at least one checkpoint")
     dt = cfg.dt if cfg.T >= 0 else -cfg.dt
-    tol = 1e-9 * max(1.0, abs(cfg.T))
+    tol = _STEP_TOL * cfg.dt
     idx = []
     for t in times:
         k = _step_multiple(t, dt, tol) if cfg.steps > 0 else (0 if abs(t) <= tol else None)

@@ -956,6 +956,25 @@ class TestCliGeneral:
         assert_one_config_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, dt, T, checkpoints", [
+        ("evolve", 1e-12, 1.5e-12, None),
+        ("invariance", 1e-12, 1.5e-12, None),
+        ("evolve", 1e-320, 1e-310, None),
+        ("invariance", 1e-320, 1e-310, None),
+        ("evolve", 1e-12, 2e-12, 0.4e-12),
+    ])
+    def test_off_step_run_exit_2(self, tmp_path, capsys, cmd, dt, T, checkpoints):
+        # a T or checkpoint within 1e-9 of a step multiple, but not within
+        # 1e-6 dt, ran to the wrong time (or for 10^10 steps)
+        keys = {"input": write_input(tmp_path, 4, 2, 1)} if cmd == "evolve" else {"N": 4, "count": 2}
+        if checkpoints is not None:
+            keys["checkpoints"] = checkpoints
+        cfg = write_ini(tmp_path / "c.ini", cmd, dt=dt, T=T, **keys)
+        out = tmp_path / "o"
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert_one_config_error(capsys)
+        assert not out.exists()
+
     def test_import_loads_no_scipy(self):
         # scipy is imported inside the two oracles that use it, not on import
         src = os.path.dirname(os.path.dirname(kdvnoise.__file__))

@@ -11,6 +11,7 @@ resolution, and reach 12.6 at N=65; the blowup check uses 197. The l2 drift
 of the scheme scales like dt^4 per unit time.
 """
 import copy
+import hashlib
 import json
 import multiprocessing
 import os
@@ -80,6 +81,20 @@ class TestFlowConfig:
         cfg = FlowConfig(dt=0.25, T=1.0)
         assert cfg.steps == 4
         assert FlowConfig(dt=0.25, T=-1.0).steps == 4
+
+    @pytest.mark.parametrize("dt, T", [(1e-12, 1.5e-12), (1e-320, 1e-310)])
+    def test_tolerance_follows_the_step(self, dt, T):
+        # the tolerance 1e-9 max(1, |T|) was absolute below |T| = 1: these
+        # ran 2 steps, ending at 2e-12, and 10000111329 steps
+        with pytest.raises(ValueError, match="not an integer multiple"):
+            FlowConfig(dt=dt, T=T)
+
+    @pytest.mark.parametrize("T, dt, steps", [
+        (0.3, 0.01, 30), (1.0, 2.5e-4, 4000), (2.0**-6, 2.0**-18, 4096), (100.0, 1e-9, 10**11),
+    ])
+    def test_rounded_step_multiples_accepted(self, T, dt, steps):
+        assert FlowConfig(dt=dt, T=T).steps == steps
+        assert FlowConfig(dt=dt, T=-T).steps == steps
 
 
 class TestNonlinearTerm:
@@ -441,6 +456,56 @@ class TestEvolve:
         info = flow._stage_kernels.cache_info()
         assert info.maxsize == bound and info.currsize == bound
 
+    @pytest.mark.parametrize("N", [8, 16, DENSE, FFT])
+    def test_step_arrays_start_on_a_line(self, monkeypatch, N):
+        assert line_offsets(monkeypatch, N) == {0}
+
+    def test_lines_do_not_follow_import_history(self):
+        # odd-sized arrays allocated before the import move the heap, not
+        # the layout
+        src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
+        path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", _LINE_OFFSETS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0]] * 4
+
+    @pytest.mark.parametrize("N", [16, DENSE])
+    def test_table_bytes_pinned(self, N):
+        # SHA-256 of each stage's (C, D) at dt = 2^-18, as the tables were
+        # before they moved onto 64-byte lines; they rest on numpy's cos, sin
+        # and complex exp, so another platform's libm may need its own pins
+        want = {
+            16: ["30cd501e47e53432c3f57cb6aacaabdcbd7f1fd8ef37ac40b783edb82faaf085",
+                 "7d1078be4818c057b7ac90613b5dc67821458e3d04a187d2617072d83b646118",
+                 "d82c89ae73283dcd7fc8313dfd5c390ce68f217fbbf7be76838df1538ee56b96"],
+            DENSE: ["1f9ebcf95bd045a370a27fcdd3e64421b577cc76e22fcbdd64645ff9399231af",
+                    "35b995e57e09bab10115fb28d46ba0f806286ab1711e4c2fc5b2faa880266871",
+                    "9218a38141fd2e5472b14511f8be099fc5d552e2497efda033e28431d9cb3ed8"],
+        }
+        tables = flow._stage_kernels(N, 2.0**-18).tables
+        assert [hashlib.sha256(C.tobytes() + D.tobytes()).hexdigest() for C, D in tables] == want[N]
+
+    @pytest.mark.parametrize("offset", [16, 32, 48])
+    def test_layout_moves_no_byte(self, monkeypatch, offset):
+        # the same tables and phases off a line give the same step and
+        # 16-row chunk at N=64, byte for byte
+        dt = 2.0**-18
+        kernels = flow._stage_kernels(DENSE, dt)
+        moved = copy.copy(kernels)
+        moved.phases = [off_line(ph, offset) for ph in kernels.phases]
+        moved.tables = [tuple(off_line(t, offset) for t in ts) for ts in kernels.tables]
+        assert {arr.ctypes.data % 64 for ts in moved.tables for arr in ts} == {offset}
+        rows = sample_batch(DENSE, 16, 85)
+        want = flow._rk4_chunk(rows, kernels, dt, 8, 0.0, 0).copy()
+        got = flow._rk4_chunk(rows, moved, dt, 8, 0.0, 0)
+        assert got.tobytes() == want.tobytes()
+        f = wn(DENSE, 86)
+        want = step(f, dt).coeffs
+        monkeypatch.setattr(flow, "_stage_kernels", lambda N, h: moved)
+        assert step(f, dt).coeffs.tobytes() == want.tobytes()
+
     def test_cache_shared_by_concurrent_runs(self):
         # six threads on two cores run evolve_batch at two steps through the
         # one table cache, with a short switch interval; each result equals
@@ -482,6 +547,13 @@ class TestEvolve:
             with pytest.raises(ValueError, match="not a step multiple"):
                 evolve_checkpoints(wn(8, 13).coeffs[None, :], cfg, [t])
 
+    @pytest.mark.parametrize("T", [2e-12, 0.0])
+    def test_checkpoint_off_a_small_step_rejected(self, T):
+        # 0.4 steps of 1e-12: the tolerance 1e-9 max(1, |T|) read it as step 0
+        cfg = FlowConfig(dt=1e-12, T=T)
+        with pytest.raises(ValueError, match="not a step multiple"):
+            evolve_checkpoints(wn(8, 13).coeffs[None, :], cfg, [0.4e-12, T])
+
     def test_empty_times_rejected(self):
         f = wn(8, 13)
         cfg = FlowConfig(dt=1e-3, T=0.05)
@@ -496,6 +568,54 @@ class TestEvolve:
         a = evolve_batch(coeffs, cfg, workers=1)
         b = evolve_batch(coeffs, cfg, workers=3)
         assert np.array_equal(a, b)
+
+
+def line_offsets(monkeypatch, N):
+    """The 64-byte offsets of every array a step at cutoff N reads.
+
+    The weight vectors, both kernel caches' phases and tables, their bound
+    grid buffers, and each buffer _rk4_chunk takes from _line_empty.
+    """
+    made = []
+    line_empty = flow._line_empty
+
+    def recorded(*args):
+        made.append(line_empty(*args))
+        return made[-1]
+
+    arrays = [flow._W_K1, flow._W_K2, flow._W_K3, flow._W_STEP]
+    kernels = [flow._stage_kernels(N, 2.0**-18), flow._plain_kernel(N)]
+    for ks in kernels:
+        arrays += [*ks.phases, *(t for ts in ks.tables for t in ts)]
+        arrays += [G.keywords["buf"] for count in (1, 3) for G in ks.bind(count)]
+    with monkeypatch.context() as m:
+        m.setattr(flow, "_line_empty", recorded)
+        for count in (1, 3):
+            flow._rk4_chunk(sample_batch(N, count, 87), kernels[0], 2.0**-18, 1, 0.0, 0)
+    assert len(made) == 2 * 3  # per chunk: grid buffer, stage stack, stage input
+    return {arr.ctypes.data % 64 for arr in arrays + made}
+
+
+def off_line(arr, offset):
+    """A copy of arr whose data starts offset bytes past a 64-byte line."""
+    raw = np.empty(arr.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + arr.nbytes].view(arr.dtype).reshape(arr.shape)
+    out[...] = arr
+    return out
+
+
+# line_offsets at N = 8, 16, 64 and 65, printed as JSON by a fresh
+# interpreter that allocates odd-sized arrays before it imports kdvnoise
+_LINE_OFFSETS = """
+import json
+import numpy as np
+held = [np.empty(n) for n in (3, 17, 1001)] + [np.empty(n, dtype=np.uint8) for n in (5, 77)]
+import pytest
+import test_flow
+with pytest.MonkeyPatch.context() as m:
+    print(json.dumps([sorted(test_flow.line_offsets(m, N)) for N in (8, 16, 64, 65)]))
+"""
 
 
 def worker_pids():
