@@ -104,6 +104,9 @@ _FD_EPS = 1e-4  # central-difference step of the Liouville probes
 # a run's length and its checkpoints are step multiples to within this
 # fraction of the step
 _STEP_TOL = 1e-6
+# most steps in a run: past 2^53, round(T / dt) and the segment starts
+# pos * dt are no longer exact
+_MAX_STEPS = 2**53
 _TABLE_SETS = 8  # (N, dt) table sets kept per cache: at most 1.2 MB each
 
 
@@ -175,7 +178,8 @@ class FDProbeError(RuntimeError):
 class FlowConfig:
     """Evolution parameters; T < 0 runs the reversed flow.
 
-    |T| must be a multiple of dt to within _STEP_TOL dt.
+    |T| must be a multiple of dt to within _STEP_TOL dt, of at most
+    _MAX_STEPS steps.
     """
 
     dt: float
@@ -188,6 +192,8 @@ class FlowConfig:
             raise ValueError("T must be finite")
         if _step_multiple(abs(self.T), self.dt, _STEP_TOL * self.dt) is None:
             raise ValueError(f"T={self.T} is not an integer multiple of dt={self.dt}")
+        if self.steps > _MAX_STEPS:
+            raise ValueError(f"T={self.T} at dt={self.dt} is {self.steps} steps, more than 2**53")
 
     @property
     def steps(self):

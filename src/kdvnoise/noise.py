@@ -20,8 +20,11 @@ policy (NEP 19) keeps the SeedSequence hash, PCG64 seeding and the normal
 stream fixed across releases, and the tests compare every row byte for byte
 with the per-row construction.
 
-tail_sweep deals the sampling loop's blocks over the worker pool the flow
-shares, as kdvnoise.pool describes.
+sample_batch and tail_sweep deal their rows over the worker pool the flow
+shares (kdvnoise.pool): tail_sweep the sampling loop's blocks, whose norms
+alone come back, and sample_batch pieces of rows, which come back whole, in
+rounds of at most one piece per process and 2^16 complex values in all, so
+a draw holds its output and about one round's rows besides.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ import math
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from . import pool
 from .pool import _spread
 from .spectral import FourierField, _besov_norm_rows, _integer
 # besov_norm_batch stays importable from here: bench/workloads.py traces
@@ -69,6 +73,7 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
 _BLOCK = 512  # most rows per block of the sampling loop
 _BLOCK_VALUES = 2**17  # most complex values per block: 2 MB of complex128
+_ROUND_VALUES = 2**16  # most complex values in a round of a pooled sample_batch: 1 MB
 _Z99 = 2.576  # two-sided 99% standard normal quantile: Wilson intervals and the fit's ci99
 
 
@@ -171,9 +176,9 @@ def _seed_words(seed, stream, count, step_seed=False):
     return out
 
 
-def _block_rows(N, count):
-    """Rows per block of the sampling loop: at most _BLOCK and _BLOCK_VALUES / N."""
-    return max(1, min(count, _BLOCK, _BLOCK_VALUES // N))
+def _block_rows(N, count, values=_BLOCK_VALUES):
+    """Rows per block of the sampling loop: at most _BLOCK and values / N."""
+    return max(1, min(count, _BLOCK, values // N))
 
 
 def _sample_blocks(N, count, seed, stream_start, out=None, step_seed=False, starts=None):
@@ -202,13 +207,43 @@ def _sample_blocks(N, count, seed, stream_start, out=None, step_seed=False, star
         yield b0, dest
 
 
-def sample_batch(N, count, seed, stream_start=0):
-    """(count, N) coefficient rows; row i is exactly the stream_start+i stream."""
-    N, count = _integer(N, "N", 1), _integer(count, "count", 0)
-    seed, stream_start = _integer(seed, "seed", 0), _integer(stream_start, "stream", 0)
+def _draw(N, count, seed, stream_start):
+    """count rows, row i stream stream_start+i of seed, drawn in this process."""
     out = np.empty((count, N), dtype=np.complex128)
     for _ in _sample_blocks(N, count, seed, stream_start, out):
         pass
+    return out
+
+
+def _draw_pieces(firsts, N, count, size, seed, stream_start):
+    """The rows of each of sample_batch's size-row pieces that starts at a row of firsts."""
+    return [_draw(N, min(size, count - b0), seed, stream_start + b0) for b0 in firsts]
+
+
+def sample_batch(N, count, seed, stream_start=0):
+    """(count, N) coefficient rows; row i is exactly the stream_start+i stream.
+
+    Each round deals at most one piece per process and writes its rows into
+    the output before the next round; a draw of one piece, or on one
+    process, draws straight into the output and starts no process.
+    """
+    N, count = _integer(N, "N", 1), _integer(count, "count", 0)
+    seed, stream_start = _integer(seed, "seed", 0), _integer(stream_start, "stream", 0)
+    n = pool._processes(None, count)
+    # pieces of at most _ROUND_VALUES / n values, so a round's n pieces and
+    # the caller's peak do not grow with the number of processes
+    size = _block_rows(N, count, _ROUND_VALUES // n)
+    firsts = range(0, count, size)
+    if n == 1 or len(firsts) == 1:
+        return _draw(N, count, seed, stream_start)
+    out = np.empty((count, N), dtype=np.complex128)
+    args = (N, count, size, seed, stream_start)
+    for r in range(0, len(firsts), n):
+        batch = firsts[r : r + n]
+        costs = [min(size, count - b0) for b0 in batch]
+        # the loop drops the round's pieces before the next round's arrive
+        for b0, rows in zip(batch, _spread(_draw_pieces, batch, costs, args)):
+            out[b0 : b0 + len(rows)] = rows
     return out
 
 

@@ -11,8 +11,12 @@ the replies in part order; zero items or one item start no process. A
 result depends on its item alone, so the results, returned in item order,
 do not depend on the number of parts. On equal costs item i goes to part
 i mod n. evolve_batch's items are its 512-row chunks, tail_sweep's the
-sampling loop's blocks and bilinear_ratio_sweep's its (N, family) and
-(N, trial) cells.
+sampling loop's blocks, sample_batch's its pieces of rows and
+bilinear_ratio_sweep's its (N, family) and (N, trial) cells. A piece comes
+back to the caller whole, so sample_batch deals in rounds: each round is one
+_spread of at most n pieces, one per process, of 2^16 complex values in all,
+and its rows are in the output before the next round starts, so the caller
+holds about one round's rows besides the output, however many it draws.
 
 A worker is a multiprocessing Process with one duplex Pipe that the caller
 alone writes and reads, so no executor thread stands between a run and its

@@ -975,6 +975,18 @@ class TestCliGeneral:
         assert_one_config_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, dt", [
+        ("evolve", 1e-20), ("invariance", 1e-20), ("evolve", 2.0**-60), ("invariance", 2.0**-60),
+    ])
+    def test_endless_run_exit_2(self, tmp_path, capsys, cmd, dt):
+        # 10^20 or 2^60 exact steps of T = 1 started a run that could not end
+        keys = {"input": write_input(tmp_path, 4, 2, 1)} if cmd == "evolve" else {"N": 4, "count": 2}
+        cfg = write_ini(tmp_path / "c.ini", cmd, dt=dt, T=1.0, **keys)
+        out = tmp_path / "o"
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert_one_config_error(capsys)
+        assert not out.exists()
+
     def test_import_loads_no_scipy(self):
         # scipy is imported inside the two oracles that use it, not on import
         src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
@@ -990,9 +1002,10 @@ class TestCliGeneral:
         assert proc.stdout.strip() == "[]"
 
     def test_small_runs_load_no_process_machinery(self):
-        # a one-block tail_sweep, a one-cell bilinear_ratio_sweep and a
-        # one-row evolve fit the caller, so the worker pool's modules stay
-        # unloaded: the one-row trajectory workload never pays for their import
+        # a one-block tail_sweep and sample_batch, a one-cell
+        # bilinear_ratio_sweep and a one-row evolve fit the caller, so the
+        # worker pool's modules stay unloaded: the one-row trajectory
+        # workload never pays for their import
         src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
@@ -1001,9 +1014,10 @@ class TestCliGeneral:
             "    importlib.import_module('kdvnoise.' + m.name)\n"
             "from kdvnoise.estimates import WeightParams, bilinear_ratio_sweep\n"
             "from kdvnoise.flow import FlowConfig, evolve\n"
-            "from kdvnoise.noise import GaussianSampleSpec, sample, tail_sweep\n"
+            "from kdvnoise.noise import GaussianSampleSpec, sample, sample_batch, tail_sweep\n"
             "from kdvnoise.spectral import NormSpec\n"
             "tail_sweep(NormSpec(-0.49, 2.1, 2.0), 256, [1.0], 512, 0)\n"
+            "sample_batch(16, 512, 0)\n"
             "bilinear_ratio_sweep(-0.49, 2.1, WeightParams(), [8], 1, 0)\n"
             "evolve(sample(GaussianSampleSpec(16, 0)), FlowConfig(dt=2.0**-12, T=4 * 2.0**-12))\n"
             "print(sorted(m.name for m in pkgutil.iter_modules(kdvnoise.__path__)))\n"

@@ -96,6 +96,19 @@ class TestFlowConfig:
         assert FlowConfig(dt=dt, T=T).steps == steps
         assert FlowConfig(dt=dt, T=-T).steps == steps
 
+    @pytest.mark.parametrize("dt", [1e-20, 2.0**-60])
+    def test_rejects_more_steps_than_stay_exact(self, dt):
+        # exact step multiples of 10^20 and 2^60 steps: runs that cannot end,
+        # whose step count and segment starts are no longer exact
+        with pytest.raises(ValueError, match=r"more than 2\*\*53"):
+            FlowConfig(dt=dt, T=1.0)
+        with pytest.raises(ValueError, match=r"more than 2\*\*53"):
+            FlowConfig(dt=dt, T=-1.0)
+
+    @pytest.mark.parametrize("dt, steps", [(2.0**-40, 2**40), (2.0**-53, 2**53)])
+    def test_exact_step_counts_accepted(self, dt, steps):
+        assert FlowConfig(dt=dt, T=1.0).steps == steps
+
 
 class TestNonlinearTerm:
     def test_single_pair(self):
@@ -625,10 +638,12 @@ def worker_pids():
 class TestWorkerPool:
     CFG = FlowConfig(dt=2.0**-12, T=4 * 2.0**-12)
 
-    def test_runs_share_one_pool(self, fresh_pool):
+    def test_runs_share_one_pool(self, fresh_pool, split):
         # a worker for each process a run takes past the caller, forked by the
         # first run that needs it and kept: no fork per run, and a smaller
-        # request after a larger one keeps the larger pool and its bytes
+        # request after a larger one keeps the larger pool and its bytes; the
+        # rows are drawn in the caller alone, so the first run finds no pool
+        split(1)
         rows = sample_batch(16, 1100, 36)
         want = evolve_batch(rows, self.CFG, workers=1)
         assert worker_pids() == []
@@ -662,10 +677,12 @@ class TestWorkerPool:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert len(worker_pids()) == 2
 
-    def test_run_bounded_by_its_workers(self, run_threads, monkeypatch):
+    def test_run_bounded_by_its_workers(self, run_threads, monkeypatch, split):
         # a 2-worker run of five chunks sends chunks 1 and 3 to one worker
         # as one task, so it takes 2 processes even from the 2-worker pool
-        # that a 3-worker run left behind
+        # that a 3-worker run left behind; the rows are drawn in the caller
+        # alone, so every worker is forked after the patch below
+        split(1)
         rows = sample_batch(16, 2100, 41)
         # a free worker takes any queued task, so a worker that ends its
         # first task before the other starts can take both of the 3-worker
@@ -707,8 +724,11 @@ class TestWorkerPool:
         script = (
             "import json, multiprocessing, time\n"
             "from kdvnoise.flow import FlowConfig, evolve_batch\n"
+            "from kdvnoise import pool\n"
             "from kdvnoise.noise import sample_batch\n"
-            "evolve_batch(sample_batch(16, 1100, 39), FlowConfig(dt=2.0**-12, T=2.0**-12), workers=2)\n"
+            "rows = sample_batch(16, 1100, 39)\n"
+            "pool._close_pool()  # the draw's workers: the run forks its own\n"
+            "evolve_batch(rows, FlowConfig(dt=2.0**-12, T=2.0**-12), workers=2)\n"
             "print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)\n"
             "time.sleep(120)\n"
         )
@@ -735,8 +755,11 @@ class TestWorkerPool:
         script = (
             "import json, multiprocessing\n"
             "from kdvnoise.flow import FlowConfig, evolve_batch\n"
+            "from kdvnoise import pool\n"
             "from kdvnoise.noise import sample_batch\n"
-            "evolve_batch(sample_batch(16, 1100, 38), FlowConfig(dt=2.0**-12, T=2.0**-10), workers=2)\n"
+            "rows = sample_batch(16, 1100, 38)\n"
+            "pool._close_pool()  # the draw's workers: the run forks its own\n"
+            "evolve_batch(rows, FlowConfig(dt=2.0**-12, T=2.0**-10), workers=2)\n"
             "print(json.dumps([p.pid for p in multiprocessing.active_children()]))\n"
         )
         src = os.path.dirname(os.path.dirname(kdvnoise.__file__))
@@ -755,8 +778,11 @@ class TestWorkerPool:
         script = (
             "import json, multiprocessing, time\n"
             "from kdvnoise.flow import FlowConfig, evolve_batch\n"
+            "from kdvnoise import pool\n"
             "from kdvnoise.noise import sample_batch\n"
-            "evolve_batch(sample_batch(16, 1100, 39), FlowConfig(dt=2.0**-12, T=2.0**-12), workers=3)\n"
+            "rows = sample_batch(16, 1100, 39)\n"
+            "pool._close_pool()  # the draw's workers: the run forks its own\n"
+            "evolve_batch(rows, FlowConfig(dt=2.0**-12, T=2.0**-12), workers=3)\n"
             "print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)\n"
             "time.sleep(120)\n"
         )
@@ -789,9 +815,12 @@ class TestWorkerPool:
         script = (
             "import json, multiprocessing, sys, threading\n"
             "from kdvnoise.flow import FlowConfig, evolve_batch\n"
+            "from kdvnoise import pool\n"
             "from kdvnoise.noise import sample_batch\n"
             "before = threading.active_count()\n"
-            "evolve_batch(sample_batch(16, 1100, 43), FlowConfig(dt=2.0**-12, T=2.0**-12), workers=2)\n"
+            "rows = sample_batch(16, 1100, 43)\n"
+            "pool._close_pool()  # the draw's workers: the run forks its own\n"
+            "evolve_batch(rows, FlowConfig(dt=2.0**-12, T=2.0**-12), workers=2)\n"
             "print(json.dumps([before, threading.active_count(), len(multiprocessing.active_children()),\n"
             "                  'concurrent.futures.process' in sys.modules]))\n"
         )

@@ -1,4 +1,5 @@
 """White-noise sampling, density, tail, and decay statistic tests."""
+import hashlib
 import math
 import multiprocessing
 import os
@@ -324,6 +325,61 @@ class TestTailSplit:
         split(2)
         with pytest.raises(ValueError, match="a worker's norm failed"):
             tail_sweep(self.SPEC, 256, [1.0], 1100, 27)
+
+
+def batch_digest(N, count, seed, stream_start):
+    return hashlib.sha256(sample_batch(N, count, seed, stream_start).tobytes()).hexdigest()
+
+
+class TestBatchSplit:
+    """sample_batch's pieces on the shared worker pool, round by round."""
+
+    @pytest.mark.parametrize("N, count", [
+        (N, count) for N in (1, 16, 256, 2**14)
+        for count in (1, 511, 512, 513, 1100) + ((5000,) if N <= 256 else ())
+    ])
+    def test_bytes_independent_of_processes(self, split, N, count):
+        # digests, so that one 288 MB draw at N = 2^14 is alive at a time;
+        # the rows cross from one-word to two-word streams
+        split(1)
+        want = batch_digest(N, count, 29, 2**32 - 300)
+        for n in (2, 3, None):
+            split(n)
+            assert batch_digest(N, count, 29, 2**32 - 300) == want, n
+
+    @pytest.mark.parametrize("N, count", [(16, 512), (256, 64), (2**14, 2)])
+    def test_one_piece_starts_no_process(self, split, fresh_pool, N, count):
+        # a piece holds at most 512 rows and 2^16 / n values on n processes
+        for n in (None, 3):
+            split(n)
+            sample_batch(N, count, 30)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_peak_is_a_few_pieces(self, split, fresh_pool):
+        # a round's pieces are in the output before the next round's arrive,
+        # so beside its 20 MB output the caller holds about one round's 1 MB
+        # and a reply in transit, not the workers' 13 MB of rows; the pool
+        # comes before the traced draw
+        split(3)
+        sample_batch(64, 1100, 0)
+        tracemalloc.start()
+        try:
+            out = sample_batch(64, 20000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 4e6
+
+    def test_dead_worker_fails_the_next_draw(self, split, fresh_pool):
+        split(2)
+        want = sample_batch(256, 1100, 31).tobytes()
+        (pid,) = [p.pid for p in multiprocessing.active_children()]
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(BrokenExecutor):
+            sample_batch(256, 1100, 31)
+        assert sample_batch(256, 1100, 31).tobytes() == want
+        (new,) = [p.pid for p in multiprocessing.active_children()]
+        assert new != pid
 
 
 class TestTails:
